@@ -14,20 +14,7 @@ from .errors import (
     SingularCovarianceError,
     SingularInformationError,
 )
-from .estimator import (
-    DEFAULT_ALPHA,
-    FisherBlock,
-    FlowEstimate,
-    FlowMatrix,
-    NodeDiagnostics,
-    estimate_flows,
-    fisher_block,
-    flow_with_significance,
-    info_flow,
-    node_diagnostics,
-    noise_rate,
-    self_influence,
-)
+from .estimator import DEFAULT_ALPHA, FlowMatrix, estimate_flows
 from .graph import CausalGraph, GraphEdge, GraphNode, from_json, reconstruct, to_dot, to_json
 from .normalize import NormalizedFlows, normalize_flows
 from .simgen import (
@@ -46,14 +33,6 @@ from .simgen import (
     simulate_var,
     sweep_epsilon,
 )
-from .stats import (
-    DerivedSeries,
-    RowMLE,
-    StatisticsBundle,
-    TimeSeriesPanel,
-    compute_statistics,
-    derive_series,
-    fit_row,
-)
+from .stats import StatisticsBundle, TimeSeriesPanel, compute_statistics, derive_series
 
 __version__ = "0.1.0"

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InfoflowError, ParseError
 from .estimator import DEFAULT_ALPHA, estimate_flows
 from .graph import build_graph, to_dot, to_json
-from .normalize import normalize_flows
 from .simgen import SWEEP_PAIRS, RosslerSpec, preset_panel, sweep_epsilon
 from .stats import TimeSeriesPanel
 
@@ -97,10 +96,8 @@ def _matrix_csv(matrix) -> str:
     """Flow matrix as CSV text: entry (row, col) is T[row -> col]."""
     d = matrix.d
     lines = ["source," + ",".join(f"to_{i + 1}" for i in range(d))]
-    for j in range(d):
-        cells = []
-        for i in range(d):
-            cells.append("" if j == i else repr(matrix.flows[j][i].T))
+    for j, row in enumerate(matrix.T.tolist()):
+        cells = ("" if j == i else repr(t) for i, t in enumerate(row))
         lines.append(f"from_{j + 1}," + ",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -124,36 +121,31 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
             if j == i:
                 cells.append(fmt("."))
             else:
-                est = matrix.flows[j][i]
-                star = "*" if est.significant else " "
-                cells.append(f"{est.T:>{width - 1}.3f}{star}")
+                star = "*" if matrix.significant[j, i] else " "
+                cells.append(f"{matrix.T[j, i]:>{width - 1}.3f}{star}")
         out.append(fmt(labels[j]) + "".join(cells))
     out.append("")
     out.append("Node diagnostics:")
     out.append(fmt("node") + fmt("dH*/dt") + fmt("stderr") + fmt("self-loop")
                + fmt("noise"))
-    for i, diag in enumerate(matrix.diagnostics):
+    for i in range(d):
         out.append(
             fmt(labels[i])
-            + f"{diag.self_influence:>{width}.3f}"
-            + f"{diag.self_stderr:>{width}.4f}"
-            + fmt("yes" if diag.is_self_loop else "no")
-            + f"{diag.noise_rate:>{width}.3f}"
+            + f"{matrix.self[i]:>{width}.3f}"
+            + f"{matrix.self_stderr[i]:>{width}.4f}"
+            + fmt("yes" if matrix.self_loop[i] else "no")
+            + f"{matrix.noise_rate[i]:>{width}.3f}"
         )
     out.append("")
     out.append("Normalized flows tau[row -> col] (% of target's entropy budget):")
     out.append(" " * width + "".join(fmt(s) for s in labels))
-    taus = [
-        normalize_flows([matrix.flows[j][i] for j in range(d)], matrix.diagnostics[i])
-        for i in range(d)
-    ]
     for j in range(d):
         cells = []
         for i in range(d):
             if j == i:
                 cells.append(fmt("."))
             else:
-                cells.append(f"{100.0 * taus[i].tau[j]:>{width - 1}.1f}%")
+                cells.append(f"{100.0 * matrix.tau[j, i]:>{width - 1}.1f}%")
         out.append(fmt(labels[j]) + "".join(cells))
     return "\n".join(out) + "\n"
 

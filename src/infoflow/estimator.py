@@ -1,253 +1,141 @@
 """Information-flow rates, self-influence, noise contribution, significance.
 
-The flow rate from X_j to X_i under the fitted linear model is
-``T[j -> i] = a_hat[i, j] * C[i, j] / C[i, i]`` in nats per unit time.
-A node's influence on itself is ``a_hat[i, i]``, and the entropy
-contribution of the stochastic forcing is ``g_hat[i] / (2 C[i, i])``.
+Model.  Every target row i follows dX_i/dt = f_i + sum_j a_ij X_j + b_i dW_i,
+observed through forward differences.  With residuals
+R_in = dX_i/dt[n] - f_i - a_i . X[:, n], the per-sample Euler transition
+log density is
 
-Standard errors come from the observed information matrix of the
-Gaussian transition density, assembled in closed form from analytic
-second derivatives (validated against finite differences in the test
-suite).  Significance is a two-sided z-test at confidence level
-``alpha``: the flow is significant iff its CI excludes zero.  The
-ratio C_ij / C_ii in the flow's standard error is treated as a plug-in
-constant, so the flow test statistic coincides with the z-statistic of
-the underlying coefficient.
+    l_n = -0.5 log(2 pi b_i^2 dt) - dt R_in^2 / (2 b_i^2).
+
+Its maximizer solves the normal equations C a_i = Cd[:, i], and then
+f_i = mean(dX_i/dt) - a_i . mean(X) and g_i = b_i^2 = sum_n R_in^2 dt / n.
+All rows share C, so one solve with the d right-hand sides Cd gives the
+coefficient matrix A (A[i, j] = a_ij) of the whole panel.
+
+The flow rate from X_j to X_i is ``T[j -> i] = a_ij C_ij / C_ii`` in nats
+per unit time, a node's influence on itself is a_ii, and the entropy
+contribution of its stochastic forcing is ``g_i / (2 C_ii)``.
+
+Standard errors.  Per row, with theta = (f_i, a_i, b_i), u = (1, X) and
+M = mean(u u^T), the observed information per sample is
+
+    I = [[ (dt / g) M,  c     ],    c = 2 dt / (b g) mean(u R),
+         [ c^T,         2 / g ]]
+
+(the (b, b) entry uses sum R^2 dt / n = g).  At the MLE the normal
+equations give mean(u R) = 0, so c = 0, and the coefficient block of
+I^-1 is the inverse of the Schur complement of f in (dt / g) M, which is
+(dt / g) C.  Hence var(a_ij) = g_i (C^-1)_jj / (dt n).
+
+A ridge lambda > 0 solves (C + lambda I) a_i = Cd[:, i] instead.  That
+is not the MLE: mean(X R) = Cd[:, i] - C a_i = lambda a_i, so
+c = 2 dt lambda / (b g) (0, a_i).  The information is still taken for the
+unregularized model at the ridge estimate.  Eliminating b subtracts
+c c^T g / 2 = 2 dt^2 lambda^2 / g^2 a_i a_i^T from (dt / g) C, and
+Sherman-Morrison gives, with the unregularized C,
+
+    var(a_ij) = [ g_i (C^-1)_jj / dt
+                  + 2 (lambda (C^-1 a_i)_j)^2
+                    / (1 - 2 dt lambda^2 a_i^T C^-1 a_i / g_i) ] / n.
+
+At lambda = 0 the rank-one term is zero, so this one formula serves both
+cases.  The information matrix is singular, and SingularInformationError
+is raised, when C is singular (whatever the ridge), when a residual
+variance g_i is zero, when the rank-one denominator is <= 0, or when any
+variance is <= 0.
+
+Significance is a two-sided z-test at confidence level ``alpha``: a value
+is significant iff its CI excludes zero.  The ratio C_ij / C_ii in a
+flow's standard error is treated as a plug-in constant, so the flow's
+test statistic coincides with the z-statistic of a_ij.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, ndtri
 
-from .errors import SingularInformationError
-from .stats import (
-    DerivedSeries,
-    RowMLE,
-    StatisticsBundle,
-    TimeSeriesPanel,
-    aligned_samples,
-    compute_statistics,
-    derive_series,
-    fit_row,
-)
+from .errors import SingularCovarianceError, SingularInformationError
+from .normalize import normalize_flows
+from .stats import COND_LIMIT, TimeSeriesPanel, compute_statistics, derive_series
 
 DEFAULT_ALPHA = 0.90
+
+# Elementwise erfc; numpy has none and scipy is not a runtime dependency.
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def gaussian_quantile(p: float) -> float:
     """Standard normal quantile (inverse CDF)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must be in (0, 1), got {p}")
-    return float(ndtri(p))
+    return NormalDist().inv_cdf(p)
 
 
 def two_sided_p(z: float) -> float:
     """Two-sided tail probability of a standard normal z-statistic."""
-    return float(erfc(abs(z) / np.sqrt(2.0)))
+    return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class FlowEstimate:
-    """A single flow rate T[source -> target] with its significance verdict."""
+def significance(value, stderr, alpha: float = DEFAULT_ALPHA):
+    """Elementwise two-sided z-test at confidence level alpha.
 
-    source: int
-    target: int
-    T: float
-    stderr: float
-    ci_low: float
-    ci_high: float
-    p_value: float
-    significant: bool
-
-
-@dataclass(frozen=True)
-class NodeDiagnostics:
-    """Self-influence and noise contribution of one node."""
-
-    node: int
-    self_influence: float
-    self_stderr: float
-    noise_rate: float
-    is_self_loop: bool
-
-
-@dataclass(frozen=True)
-class FisherBlock:
-    """Observed information for one target row.
-
-    Parameterization is theta = (f_i, a_i1, ..., a_id, b_i) with
-    g_ii = b_i**2, giving a (d+2) x (d+2) matrix.  ``param_cov`` is
-    (N * I)^{-1}, the asymptotic covariance of theta_hat.
+    Returns (ci_low, ci_high, p, significant) arrays; a value is
+    significant iff its CI excludes zero.  A zero stderr gives p = 1 for
+    a zero value and p = 0 otherwise.
     """
-
-    target: int
-    matrix: np.ndarray
-    param_cov: np.ndarray
-
-    def __post_init__(self):
-        for name in ("matrix", "param_cov"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    def coef_var(self, j: int) -> float:
-        """Variance of a_hat[target, j]."""
-        return float(self.param_cov[1 + j, 1 + j])
-
-
-def info_flow(row: RowMLE, stats: StatisticsBundle, j: int, i: int) -> float:
-    """Flow rate T[j -> i] = a_hat[i, j] * C[i, j] / C[i, i]."""
-    if j == i:
-        raise ValueError("flow from a variable to itself is undefined; "
-                         "use self_influence instead")
-    if row.target != i:
-        raise ValueError(f"row was fitted for target {row.target}, not {i}")
-    C = stats.C
-    return float(row.a_hat[j] * C[i, j] / C[i, i])
-
-
-def self_influence(row: RowMLE, i: int) -> float:
-    """A node's contribution to its own marginal entropy rate: a_hat[i, i]."""
-    if row.target != i:
-        raise ValueError(f"row was fitted for target {row.target}, not {i}")
-    return float(row.a_hat[i])
-
-
-def noise_rate(row: RowMLE, stats: StatisticsBundle, i: int) -> float:
-    """Entropy increase from stochastic forcing: g_hat / (2 C_ii), >= 0."""
-    if row.target != i:
-        raise ValueError(f"row was fitted for target {row.target}, not {i}")
-    return float(row.g_hat / (2.0 * stats.C[i, i]))
-
-
-def fisher_block(
-    panel: TimeSeriesPanel,
-    derived: DerivedSeries,
-    row: RowMLE,
-    i: int,
-) -> FisherBlock:
-    """Observed information matrix for target row i, at the MLE.
-
-    Per-sample transition log density (Euler-Bernstein approximation):
-
-        l_n = -0.5 log(2 pi b^2 dt) - dt R_n^2 / (2 b^2)
-
-    with residual R_n = dotX_{i,n} - f - a . X_n.  Entries are the
-    analytic second derivatives averaged over samples, negated.
-    """
-    if row.target != i:
-        raise ValueError(f"row was fitted for target {row.target}, not {i}")
-    x, dot = aligned_samples(panel, derived)
-    d, n = x.shape
-    dt = panel.dt
-    b2 = row.g_hat
-    if b2 <= 0.0:
-        raise SingularInformationError(
-            f"target {i}: residual variance is zero, information matrix undefined"
-        )
-    b = np.sqrt(b2)
-    resid = dot[i] - row.f_hat - row.a_hat @ x
-
-    u = np.vstack([np.ones(n), x])  # (d+1, n) regressor rows (1, X_1..X_d)
-    I = np.zeros((d + 2, d + 2))
-    I[: d + 1, : d + 1] = (dt / b2) * (u @ u.T) / n
-    cross = (2.0 * dt / (b * b2)) * (u @ resid) / n
-    I[: d + 1, d + 1] = cross
-    I[d + 1, : d + 1] = cross
-    I[d + 1, d + 1] = -1.0 / b2 + 3.0 * dt * (resid @ resid) / (b2 * b2 * n)
-
-    try:
-        param_cov = np.linalg.inv(I) / n
-    except np.linalg.LinAlgError as exc:
-        raise SingularInformationError(
-            f"target {i}: information matrix is singular"
-        ) from exc
-    return FisherBlock(target=i, matrix=I, param_cov=param_cov)
-
-
-def flow_with_significance(
-    row: RowMLE,
-    stats: StatisticsBundle,
-    fisher: FisherBlock,
-    j: int,
-    i: int,
-    alpha: float = DEFAULT_ALPHA,
-) -> FlowEstimate:
-    """Flow estimate with CI at confidence level alpha and z-test verdict."""
-    T = info_flow(row, stats, j, i)
-    ratio = abs(stats.C[i, j] / stats.C[i, i])
-    stderr = ratio * np.sqrt(max(fisher.coef_var(j), 0.0))
+    value = np.asarray(value, dtype=float)
+    stderr = np.asarray(stderr, dtype=float)
     z = gaussian_quantile((1.0 + alpha) / 2.0)
-    ci_low = T - z * stderr
-    ci_high = T + z * stderr
-    if stderr > 0.0:
-        p = two_sided_p(T / stderr)
-    else:
-        p = 1.0 if T == 0.0 else 0.0
-    significant = ci_low > 0.0 or ci_high < 0.0
-    return FlowEstimate(
-        source=j,
-        target=i,
-        T=T,
-        stderr=float(stderr),
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
-        p_value=p,
-        significant=significant,
-    )
-
-
-def node_diagnostics(
-    row: RowMLE,
-    stats: StatisticsBundle,
-    fisher: FisherBlock,
-    i: int,
-    alpha: float = DEFAULT_ALPHA,
-) -> NodeDiagnostics:
-    """Self-influence with the same CI machinery, plus the noise rate."""
-    a_ii = self_influence(row, i)
-    stderr = float(np.sqrt(max(fisher.coef_var(i), 0.0)))
-    z = gaussian_quantile((1.0 + alpha) / 2.0)
-    loop = (a_ii - z * stderr) > 0.0 or (a_ii + z * stderr) < 0.0
-    return NodeDiagnostics(
-        node=i,
-        self_influence=a_ii,
-        self_stderr=stderr,
-        noise_rate=noise_rate(row, stats, i),
-        is_self_loop=loop,
-    )
+    ci_low = value - z * stderr
+    ci_high = value + z * stderr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zabs = np.where(value == 0.0, 0.0, np.abs(value / stderr))
+    p = np.asarray(_erfc(zabs / math.sqrt(2.0)), dtype=float)
+    return ci_low, ci_high, p, (ci_low > 0.0) | (ci_high < 0.0)
 
 
 @dataclass(frozen=True)
 class FlowMatrix:
-    """All pairwise flow estimates plus per-node diagnostics.
+    """Flow estimates, their tests and the per-node terms of one panel.
 
-    ``flows[j][i]`` is the estimate for j -> i (None on the diagonal).
+    Pairwise arrays are d x d and indexed [source, target]: ``T[j, i]`` is
+    the flow j -> i, with its ``stderr``, two-sided ``p``, z-test verdict
+    ``significant`` and normalized flow ``tau``.  Their diagonals hold no
+    flow: T, stderr and tau are 0 there, p is 1 and significant is False.
+
+    Per-node arrays have length d: ``self`` (a_ii) with ``self_stderr``
+    and its verdict ``self_loop``, ``noise_rate`` (g_i / 2 C_ii) and the
+    residual variance ``g``.  ``A`` (A[i, j] = a_ij) and ``f`` are the
+    fitted drift coefficients.  All arrays are read-only.
     """
 
-    flows: tuple
-    diagnostics: tuple
-    stats: StatisticsBundle
-    rows: tuple
+    T: np.ndarray
+    stderr: np.ndarray
+    p: np.ndarray
+    significant: np.ndarray
+    tau: np.ndarray
+    self: np.ndarray
+    self_stderr: np.ndarray
+    self_loop: np.ndarray
+    noise_rate: np.ndarray
+    g: np.ndarray
+    A: np.ndarray
+    f: np.ndarray
     alpha: float
     k: int
 
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
     @property
     def d(self) -> int:
-        return len(self.diagnostics)
-
-    def abs_matrix(self) -> np.ndarray:
-        """|T| values as a d x d array with zeros on the diagonal."""
-        d = self.d
-        out = np.zeros((d, d))
-        for j in range(d):
-            for i in range(d):
-                if j != i:
-                    out[j, i] = abs(self.flows[j][i].T)
-        return out
+        return self.T.shape[0]
 
 
 def estimate_flows(
@@ -256,32 +144,84 @@ def estimate_flows(
     alpha: float = DEFAULT_ALPHA,
     ridge: float = 0.0,
 ) -> FlowMatrix:
-    """Fit every target row and estimate the full d x d flow matrix.
+    """Estimate and test the full d x d flow matrix of a panel.
 
-    Each target is an independent fit + Fisher block, so rows could be
-    evaluated concurrently; here they run sequentially.
+    A covariance matrix with condition number above COND_LIMIT raises
+    SingularCovarianceError.  ``ridge`` > 0 adds ridge * I to C in the
+    coefficient solve; standard errors still need the unregularized C to
+    be invertible (see the module docstring).
     """
-    derived = derive_series(panel, k)
-    stats = compute_statistics(panel, derived)
-    d = panel.d
-    rows = []
-    diags = []
-    flows = [[None] * d for _ in range(d)]
-    for i in range(d):
-        row = fit_row(stats, panel, derived, i, ridge=ridge)
-        fisher = fisher_block(panel, derived, row, i)
-        rows.append(row)
-        diags.append(node_diagnostics(row, stats, fisher, i, alpha=alpha))
-        for j in range(d):
-            if j != i:
-                flows[j][i] = flow_with_significance(
-                    row, stats, fisher, j, i, alpha=alpha
-                )
+    if not ridge >= 0.0:
+        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    dot = derive_series(panel, k)
+    st = compute_statistics(panel, dot)
+    C, n, dt, labels = st.C, st.n_used, panel.dt, panel.labels
+
+    s = np.linalg.svd(C, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond, cond_ridge = s[0] / s[-1], (s[0] + ridge) / (s[-1] + ridge)
+    if not cond_ridge <= COND_LIMIT:
+        raise SingularCovarianceError(
+            f"covariance matrix is near-singular (condition number {cond_ridge:.3e})"
+        )
+    if not cond <= COND_LIMIT:
+        raise SingularInformationError(
+            f"covariance matrix is near-singular (condition number {cond:.3e}): "
+            "the ridge regularizes the coefficients, but their information "
+            "matrix stays singular"
+        )
+    A = np.linalg.solve(C + ridge * np.eye(panel.d), st.Cd).T
+    Cinv = np.linalg.inv(C)
+
+    f = st.dot_means - A @ st.means
+    R = A @ panel.data[:, :n]
+    np.subtract(dot, R, out=R)
+    R -= f[:, None]
+    g = np.einsum("ij,ij->i", R, R) * dt / n
+    zero = np.flatnonzero(~(g > 0.0))
+    if zero.size:
+        raise SingularInformationError(
+            f"target {labels[zero[0]]!r}: residual variance is zero, "
+            "information matrix undefined"
+        )
+
+    CinvA = A @ Cinv  # row i is (C^-1 a_i)^T
+    den = 1.0 - 2.0 * dt * ridge**2 * np.einsum("ij,ij->i", A, CinvA) / g
+    bad = np.flatnonzero(~(den > 0.0))
+    if bad.size:
+        raise SingularInformationError(
+            f"target {labels[bad[0]]!r}: information matrix at the ridge "
+            "estimate is not positive definite"
+        )
+    var = (np.outer(g, np.diag(Cinv)) / dt + 2.0 * (ridge * CinvA) ** 2 / den[:, None]) / n
+    bad = np.flatnonzero(~np.all(var > 0.0, axis=1))
+    if bad.size:
+        raise SingularInformationError(
+            f"target {labels[bad[0]]!r}: non-positive coefficient variance"
+        )
+
+    cii = np.diag(C)
+    T = A.T * C / cii
+    stderr = np.abs(C / cii) * np.sqrt(var.T)
+    np.fill_diagonal(T, 0.0)
+    np.fill_diagonal(stderr, 0.0)
+    _, _, p, significant = significance(T, stderr, alpha)
+    self_influence = np.diag(A)
+    self_stderr = np.sqrt(np.diag(var))
+    noise = g / (2.0 * cii)
     return FlowMatrix(
-        flows=tuple(tuple(r) for r in flows),
-        diagnostics=tuple(diags),
-        stats=stats,
-        rows=tuple(rows),
+        T=T,
+        stderr=stderr,
+        p=p,
+        significant=significant,
+        tau=normalize_flows(T, self_influence, noise).tau,
+        self=self_influence,
+        self_stderr=self_stderr,
+        self_loop=significance(self_influence, self_stderr, alpha)[3],
+        noise_rate=noise,
+        g=g,
+        A=A,
+        f=f,
         alpha=alpha,
         k=k,
     )

@@ -13,8 +13,9 @@ import json
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .estimator import DEFAULT_ALPHA, FlowMatrix, estimate_flows
-from .normalize import normalize_flows
 from .stats import TimeSeriesPanel
 
 SCHEMA_VERSION = 1
@@ -64,48 +65,28 @@ class CausalGraph:
 
 def build_graph(matrix: FlowMatrix, panel: TimeSeriesPanel) -> CausalGraph:
     """Assemble a CausalGraph from an estimated flow matrix."""
-    d = matrix.d
     labels = panel.labels
-    normalized = [
-        normalize_flows([matrix.flows[j][i] for j in range(d)], matrix.diagnostics[i])
-        for i in range(d)
-    ]
     nodes = tuple(
-        GraphNode(
-            label=labels[i],
-            self_influence=diag.self_influence,
-            self_stderr=diag.self_stderr,
-            is_self_loop=diag.is_self_loop,
-            noise_rate=diag.noise_rate,
-        )
-        for i, diag in enumerate(matrix.diagnostics)
+        GraphNode(label=label, self_influence=a, self_stderr=se, is_self_loop=loop,
+                  noise_rate=noise)
+        for label, a, se, loop, noise in zip(
+            labels, matrix.self.tolist(), matrix.self_stderr.tolist(),
+            matrix.self_loop.tolist(), matrix.noise_rate.tolist())
     )
-    edges = []
-    for j in range(d):
-        for i in range(d):
-            if j == i:
-                continue
-            est = matrix.flows[j][i]
-            if est.significant:
-                edges.append(
-                    GraphEdge(
-                        source=labels[j],
-                        target=labels[i],
-                        T=est.T,
-                        stderr=est.stderr,
-                        p=est.p_value,
-                        tau=float(normalized[i].tau[j]),
-                    )
-                )
-    edges.sort(key=lambda e: (labels.index(e.source), labels.index(e.target)))
-    flow_matrix = tuple(
-        tuple(None if j == i else matrix.flows[j][i].T for i in range(d))
-        for j in range(d)
+    src, dst = np.nonzero(matrix.significant)
+    edges = tuple(
+        GraphEdge(source=labels[j], target=labels[i], T=t, stderr=se, p=p, tau=tau)
+        for j, i, t, se, p, tau in zip(
+            src.tolist(), dst.tolist(),
+            *(a[src, dst].tolist() for a in (matrix.T, matrix.stderr, matrix.p, matrix.tau)))
     )
+    rows = matrix.T.tolist()
+    for i, row in enumerate(rows):
+        row[i] = None
     return CausalGraph(
         nodes=nodes,
-        edges=tuple(edges),
-        flow_matrix=flow_matrix,
+        edges=edges,
+        flow_matrix=tuple(map(tuple, rows)),
         alpha=matrix.alpha,
         k=matrix.k,
         dt=panel.dt,

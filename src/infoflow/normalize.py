@@ -2,10 +2,10 @@
 
 Each target node i has its own normalizer
 
-    Z = |self_influence_i| + sum_{j != i} |T[j -> i]| + noise_rate_i,
+    Z_i = |self_influence_i| + sum_{j != i} |T[j -> i]| + noise_rate_i,
 
 the total (absolute) budget of its marginal entropy rate.  The
-normalized flow tau[j -> i] = T[j -> i] / Z lies in [-1, 1] and
+normalized flow tau[j -> i] = T[j -> i] / Z_i lies in [-1, 1] and
 measures the relative importance of a cause.  tau is reported
 alongside T, never instead of it: significance always comes from the
 unnormalized estimate and its CI.
@@ -18,56 +18,50 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateNormalizerError
-from .estimator import FlowEstimate, NodeDiagnostics
 
 
 @dataclass(frozen=True)
 class NormalizedFlows:
-    """Normalized inflows for one target node.
+    """Normalized inflows of every target node.
 
-    ``tau[j]`` is tau[j -> target]; the target's own entry is zero.
-    ``self_share`` and ``noise_share`` are the fractions of Z due to
-    self-influence and noise, so self_share + noise_share + sum|tau| = 1.
+    ``tau[j, i]`` is tau[j -> i] (zero on the diagonal).  ``Z``,
+    ``self_share`` and ``noise_share`` are per target: the normalizer and
+    the fractions of it due to self-influence and noise, so that
+    self_share[i] + noise_share[i] + sum_j |tau[j, i]| = 1.
     """
 
-    target: int
-    Z: float
+    Z: np.ndarray
     tau: np.ndarray
-    self_share: float
-    noise_share: float
+    self_share: np.ndarray
+    noise_share: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.tau, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "tau", arr)
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
-def normalize_flows(flows, diag: NodeDiagnostics) -> NormalizedFlows:
-    """Normalize one target row of flow estimates.
+def normalize_flows(T, self_influence, noise_rate) -> NormalizedFlows:
+    """Normalize a d x d flow matrix ``T[source, target]`` per target.
 
-    ``flows`` is a sequence of FlowEstimate for the same target (the
-    target's own slot may be None).
+    The diagonal of ``T`` must be zero: self-influence is passed
+    separately, as are the noise rates (both of length d).
     """
-    i = diag.node
-    d = len(flows)
-    T = np.zeros(d)
-    for j, est in enumerate(flows):
-        if j == i:
-            if est is not None:
-                raise ValueError("self slot of a flow row must be None")
-            continue
-        if not isinstance(est, FlowEstimate) or est.target != i:
-            raise ValueError(f"flow row entry {j} is not an estimate for target {i}")
-        T[j] = est.T
-    Z = abs(diag.self_influence) + np.sum(np.abs(T)) + diag.noise_rate
-    if Z <= 0.0:
-        raise DegenerateNormalizerError(
-            f"target {i}: all entropy contributions are zero"
+    T = np.asarray(T, dtype=float)
+    self_abs = np.abs(np.asarray(self_influence, dtype=float))
+    noise = np.asarray(noise_rate, dtype=float)
+    d = len(self_abs)
+    if T.shape != (d, d) or self_abs.shape != (d,) or noise.shape != (d,):
+        raise ValueError(
+            f"need a d x d flow matrix and two length-d vectors, got shapes "
+            f"{T.shape}, {self_abs.shape} and {noise.shape}"
         )
-    return NormalizedFlows(
-        target=i,
-        Z=float(Z),
-        tau=T / Z,
-        self_share=abs(diag.self_influence) / Z,
-        noise_share=diag.noise_rate / Z,
-    )
+    if np.any(np.diag(T) != 0.0):
+        raise ValueError("diagonal of the flow matrix must be zero: "
+                         "self-influence is passed separately")
+    Z = self_abs + np.abs(T).sum(axis=0) + noise
+    zero = np.flatnonzero(~(Z > 0.0))
+    if zero.size:
+        raise DegenerateNormalizerError(
+            f"target {zero[0]}: all entropy contributions are zero"
+        )
+    return NormalizedFlows(Z=Z, tau=T / Z, self_share=self_abs / Z, noise_share=noise / Z)

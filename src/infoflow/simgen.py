@@ -211,9 +211,9 @@ def sweep_epsilon(base: RosslerSpec, eps_grid, alpha: float = DEFAULT_ALPHA):
         abs_T = {}
         sig = {}
         for src, dst, a, b in SWEEP_PAIRS:
-            est = matrix.flows[ROSSLER_OSCILLATOR_ROWS[a]][ROSSLER_OSCILLATOR_ROWS[b]]
-            abs_T[f"{src}->{dst}"] = abs(est.T)
-            sig[f"{src}->{dst}"] = est.significant
+            pair = (ROSSLER_OSCILLATOR_ROWS[a], ROSSLER_OSCILLATOR_ROWS[b])
+            abs_T[f"{src}->{dst}"] = abs(float(matrix.T[pair]))
+            sig[f"{src}->{dst}"] = bool(matrix.significant[pair])
         points.append(SweepPoint(epsilon=float(eps), abs_T=abs_T, significant=sig))
     return points
 

@@ -1,14 +1,12 @@
-"""Sample statistics and per-row maximum likelihood fits.
+"""Time-series panels and the sample moments the estimator consumes.
 
-Everything the flow estimators consume is computed here: the
-forward-difference derivative series, sample means, the covariance
-matrix ``C``, the cross-covariances ``C[j, di]`` between each series
-and each derived series, and the per-target linear-model MLE
-``(f_hat, a_hat, g_hat)``.
+The forward-difference derivative series, sample means, the covariance
+matrix ``C`` and the cross-covariances ``Cd[j, i]`` between each series
+X_j and each derived series dX_i/dt are computed here, over the N - k
+samples where both are defined.
 
-All containers are frozen dataclasses holding read-only numpy arrays;
-the functions are pure, so different target rows may be fitted
-concurrently without locking.
+Containers are frozen dataclasses holding read-only numpy arrays and the
+functions are pure.
 """
 
 from __future__ import annotations
@@ -17,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularCovarianceError
+from .errors import DegenerateInputError
 
 # Above this condition number the covariance matrix is treated as
-# singular unless an explicit ridge is supplied.
+# singular.
 COND_LIMIT = 1e12
 
 
@@ -72,20 +70,6 @@ class TimeSeriesPanel:
 
 
 @dataclass(frozen=True)
-class DerivedSeries:
-    """Forward-difference derivative series with stride k.
-
-    Entry (i, n) is (X[i, n+k] - X[i, n]) / (k * dt); shape (d, N - k).
-    """
-
-    data: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen(self.data))
-
-
-@dataclass(frozen=True)
 class StatisticsBundle:
     """Sample moments over the N - k aligned samples.
 
@@ -98,7 +82,6 @@ class StatisticsBundle:
     dot_means: np.ndarray
     C: np.ndarray
     Cd: np.ndarray
-    detC: float
     n_used: int
 
     def __post_init__(self):
@@ -106,103 +89,37 @@ class StatisticsBundle:
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class RowMLE:
-    """Maximum likelihood fit of dX_i/dt = f_i + sum_j a_ij X_j + noise."""
+def derive_series(panel: TimeSeriesPanel, k: int = 1) -> np.ndarray:
+    """Forward differences with stride k: entry (i, n) is
+    (X[i, n+k] - X[i, n]) / (k * dt), shape (d, N - k), read-only.
 
-    target: int
-    f_hat: float
-    a_hat: np.ndarray
-    g_hat: float
-    residual_ss: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_hat", _frozen(self.a_hat))
-
-
-def derive_series(panel: TimeSeriesPanel, k: int = 1) -> DerivedSeries:
-    """Forward-difference the panel with stride k.
-
-    k=1 is the accurate default; k=2 is appropriate for densely sampled
-    deterministic chaos.
+    Column n is aligned with panel column n.  k=1 is the accurate
+    default; k=2 is appropriate for densely sampled deterministic chaos.
     """
     n = panel.n
     if not 1 <= k <= n - 2:
         raise ValueError(f"stride k={k} out of range [1, {n - 2}]")
     x = panel.data
     dot = (x[:, k:] - x[:, :-k]) / (k * panel.dt)
-    return DerivedSeries(data=dot, k=k)
+    dot.flags.writeable = False
+    return dot
 
 
-def aligned_samples(panel: TimeSeriesPanel, derived: DerivedSeries):
-    """The first N - k panel columns, index-aligned with the derived series."""
-    n_used = panel.n - derived.k
-    if derived.data.shape != (panel.d, n_used):
+def compute_statistics(panel: TimeSeriesPanel, derived: np.ndarray) -> StatisticsBundle:
+    """Means and covariance matrices over the samples aligned with ``derived``."""
+    n_used = derived.shape[-1]
+    if derived.shape != (panel.d, n_used) or not 1 <= panel.n - n_used <= panel.n - 2:
         raise ValueError("derived series does not match panel shape")
-    return panel.data[:, :n_used], derived.data
-
-
-def compute_statistics(panel: TimeSeriesPanel, derived: DerivedSeries) -> StatisticsBundle:
-    """Means and covariance matrices over the aligned samples."""
-    x, dot = aligned_samples(panel, derived)
-    n_used = x.shape[1]
+    x = panel.data[:, :n_used]
     means = x.mean(axis=1)
-    dot_means = dot.mean(axis=1)
+    dot_means = derived.mean(axis=1)
     xc = x - means[:, None]
-    dc = dot - dot_means[:, None]
-    variances = (xc * xc).mean(axis=1)
-    for i, v in enumerate(variances):
-        if v <= 0.0:
-            raise DegenerateInputError(
-                f"variable {panel.labels[i]!r} has zero variance"
-            )
+    dc = derived - dot_means[:, None]
     C = (xc @ xc.T) / n_used
     Cd = (xc @ dc.T) / n_used
-    detC = float(np.linalg.det(C))
-    return StatisticsBundle(
-        means=means, dot_means=dot_means, C=C, Cd=Cd, detC=detC, n_used=n_used
-    )
-
-
-def fit_row(
-    stats: StatisticsBundle,
-    panel: TimeSeriesPanel,
-    derived: DerivedSeries,
-    i: int,
-    ridge: float = 0.0,
-) -> RowMLE:
-    """Solve the normal equations for target row i.
-
-    The coefficient vector solves C a = Cd[:, i] (a dense factorized
-    solve; the cofactor expansion form is kept as a test oracle only).
-    ``g_hat`` is residual_ss * dt / n_used.
-
-    A near-singular C (condition number above 1e12) raises
-    SingularCovarianceError; passing ``ridge`` > 0 adds ridge * I to C
-    before solving instead.
-    """
-    d = panel.d
-    if not 0 <= i < d:
-        raise ValueError(f"target index {i} out of range for d={d}")
-    C = stats.C
-    if ridge > 0.0:
-        C = C + ridge * np.eye(d)
-    cond = np.linalg.cond(C)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularCovarianceError(
-            f"covariance matrix is near-singular (condition number {cond:.3e}); "
-            "pass a ridge parameter to regularize"
+    flat = np.flatnonzero(np.diag(C) <= 0.0)
+    if flat.size:
+        raise DegenerateInputError(
+            f"variable {panel.labels[flat[0]]!r} has zero variance"
         )
-    a_hat = np.linalg.solve(C, stats.Cd[:, i])
-    f_hat = float(stats.dot_means[i] - a_hat @ stats.means)
-    x, dot = aligned_samples(panel, derived)
-    residuals = dot[i] - f_hat - a_hat @ x
-    residual_ss = float(residuals @ residuals)
-    g_hat = residual_ss * panel.dt / stats.n_used
-    return RowMLE(
-        target=i,
-        f_hat=f_hat,
-        a_hat=a_hat,
-        g_hat=g_hat,
-        residual_ss=residual_ss,
-    )
+    return StatisticsBundle(means=means, dot_means=dot_means, C=C, Cd=Cd, n_used=n_used)

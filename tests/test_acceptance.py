@@ -19,15 +19,13 @@ from infoflow import (
     compute_statistics,
     derive_series,
     estimate_flows,
-    fisher_block,
-    fit_row,
-    normalize_flows,
     simulate_rossler,
     simulate_var,
 )
 from infoflow.cli import main
 
 from conftest import var6_spec
+from oracles import fisher_block, fit_row
 
 N_SEEDS = 50
 
@@ -58,20 +56,12 @@ def analyze_var6(b, N, seed):
     """One benchmark run: edge set, per-edge |T|, self terms, key taus."""
     panel = simulate_var(var6_spec(b=b, N=N, seed=seed))
     matrix = estimate_flows(panel, k=1, alpha=0.90)
-    edges = set()
-    for j in range(6):
-        for i in range(6):
-            if j != i and matrix.flows[j][i].significant:
-                edges.add((j + 1, i + 1))
-    abs_T = {e: abs(matrix.flows[e[0] - 1][e[1] - 1].T) for e in TRUE_EDGES}
-    self_abs = tuple(abs(d.self_influence) for d in matrix.diagnostics)
+    edges = {(j + 1, i + 1) for j, i in zip(*np.nonzero(matrix.significant))}
+    abs_T = {e: abs(matrix.T[e[0] - 1, e[1] - 1]) for e in TRUE_EDGES}
+    self_abs = tuple(np.abs(matrix.self))
     taus = {}
     for src, dst in ((6, 2), (6, 5), (4, 5), (5, 4)):
-        nf = normalize_flows(
-            [matrix.flows[j][dst - 1] for j in range(6)],
-            matrix.diagnostics[dst - 1],
-        )
-        taus[(src, dst)] = nf.tau[src - 1]
+        taus[(src, dst)] = matrix.tau[src - 1, dst - 1]
     return {"edges": edges, "abs_T": abs_T, "self": self_abs, "tau": taus}
 
 
@@ -198,12 +188,11 @@ class TestCriterion6:
             panel = simulate_rossler(RosslerSpec(seed=0, epsilon=eps))
             matrix = estimate_flows(panel, k=2, alpha=0.90)
             max_elapsed = max(max_elapsed, time.perf_counter() - start)
-            fwd_T = max(abs(matrix.flows[a][b].T) for a, b in forward)
-            point_ok = all(matrix.flows[a][b].significant for a, b in forward)
+            fwd_T = max(abs(matrix.T[a, b]) for a, b in forward)
+            point_ok = all(matrix.significant[a, b] for a, b in forward)
             for a, b in spurious:
-                est = matrix.flows[a][b]
                 point_ok = point_ok and (
-                    not est.significant or 10.0 * abs(est.T) <= fwd_T
+                    not matrix.significant[a, b] or 10.0 * abs(matrix.T[a, b]) <= fwd_T
                 )
             if eps > 0.15:
                 corr = np.corrcoef(panel.data[y_row], panel.data[z_row])[0, 1]
@@ -239,7 +228,7 @@ class TestCriterion7:
                 den = (C[dst, dst] ** 2 * C[src, src]
                        - C[dst, dst] * C[src, dst] ** 2)
                 expected = num / den
-                got = matrix.flows[src][dst].T
+                got = matrix.T[src, dst]
                 rel = abs(got - expected) / max(abs(expected), 1e-300)
                 worst = max(worst, rel)
                 if rel > 1e-10:
@@ -264,7 +253,7 @@ class TestCriterion8:
             matrix = estimate_flows(TimeSeriesPanel(data=series[trial]), alpha=0.90)
             for j in range(d):
                 for i in range(d):
-                    if j != i and matrix.flows[j][i].significant:
+                    if j != i and matrix.significant[j, i]:
                         positives += 1
         pairs = trials * d * (d - 1)
         rate = positives / pairs
@@ -300,7 +289,7 @@ class TestCriterion9:
         d = panel.d
         theta = np.concatenate([[row.f_hat], row.a_hat, [np.sqrt(row.g_hat)]])
         x_used = panel.data[:, : st.n_used]
-        xdot = der.data[0]
+        xdot = der[0]
         m = d + 2
         hessian = np.empty((m, m))
         for p in range(m):

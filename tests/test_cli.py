@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +144,16 @@ class TestAnalyze:
         assert code == 4
         assert "error:" in err
 
+    def test_ridge_on_duplicate_columns_is_singular_information(self, tmp_path, capsys):
+        # the ridge regularizes the coefficients, not their information matrix
+        x = np.cumsum(np.random.default_rng(0).standard_normal(100))
+        path = tmp_path / "dup.csv"
+        with open(path, "w") as fh:
+            write_csv_panel(TimeSeriesPanel(data=np.vstack([x, x])), fh)
+        code, _, err = run(capsys, "analyze", "--csv", str(path), "--ridge", "1e-3")
+        assert code == 5
+        assert "error:" in err
+
     def test_bad_k_requires_override(self, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short",
                            "--k", "3")
@@ -179,3 +192,16 @@ class TestSweep:
                            "--steps", "0")
         assert code == 2
         assert "grid" in err
+
+
+class TestImport:
+    def test_import_does_not_load_scipy(self):
+        import infoflow
+
+        src = os.path.dirname(os.path.dirname(infoflow.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = "import sys, infoflow; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True).stdout
+        assert out.strip() == "False"

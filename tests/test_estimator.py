@@ -1,28 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from infoflow import (
-    FisherBlock,
-    RowMLE,
-    StatisticsBundle,
+    SingularInformationError,
     TimeSeriesPanel,
     compute_statistics,
     derive_series,
     estimate_flows,
-    fisher_block,
-    fit_row,
-    flow_with_significance,
-    info_flow,
-    node_diagnostics,
-    noise_rate,
-    self_influence,
+    normalize_flows,
 )
-from infoflow.estimator import gaussian_quantile, two_sided_p
+from infoflow.estimator import gaussian_quantile, significance, two_sided_p
 
 from conftest import random_walk_panel
+from oracles import fisher_block, fit_row, reference_flows
 
 
 def fitted(panel, k=1):
+    """Oracle per-row fits: derived series, moments and one RowMLE per row."""
     der = derive_series(panel, k)
     st = compute_statistics(panel, der)
     rows = [fit_row(st, panel, der, i) for i in range(panel.d)]
@@ -69,36 +65,41 @@ class TestGaussianQuantile:
 
 class TestInfoFlow:
     def test_self_pair_rejected(self, rng):
+        # no flow from a variable to itself: the diagonal is empty, and a
+        # flow matrix with self-pairs is refused where flows are consumed
         p = random_walk_panel(rng, d=2, n=100)
-        _, st, rows = fitted(p)
+        m = estimate_flows(p)
+        assert np.all(np.diag(m.T) == 0.0) and not np.any(np.diag(m.significant))
+        T = m.T.copy()
+        T[0, 0] = m.self[0]
         with pytest.raises(ValueError, match="self"):
-            info_flow(rows[0], st, 0, 0)
+            normalize_flows(T, m.self, m.noise_rate)
 
     def test_zero_cross_covariance_kills_flow(self):
-        # C_12 = 0 exactly: the flow vanishes whatever the coefficient is
-        st = StatisticsBundle(
-            means=np.zeros(2),
-            dot_means=np.zeros(2),
-            C=np.array([[2.0, 0.0], [0.0, 3.0]]),
-            Cd=np.zeros((2, 2)),
-            detC=6.0,
-            n_used=50,
-        )
-        row = RowMLE(target=0, f_hat=0.0, a_hat=np.array([0.5, -4.7]),
-                     g_hat=1.0, residual_ss=50.0)
-        assert info_flow(row, st, 1, 0) == 0.0
+        # C_12 = 0 exactly: the flow vanishes whatever the coefficient is.
+        # Integer samples with zero sums and orthogonal rows make the
+        # sample covariance exact in floating point.
+        rng = np.random.default_rng(0)
+        u, v = rng.integers(-9, 10, size=(2, 200)).astype(float)
+        u[-1] -= u.sum()
+        v[-1] -= v.sum()
+        w = (u @ u) * v - (u @ v) * u
+        data = np.hstack([np.vstack([u, w]), [[3.0], [-5.0]]])
+        p = TimeSeriesPanel(data=data)
+        assert compute_statistics(p, derive_series(p)).C[0, 1] == 0.0
+        assert estimate_flows(p).T[1, 0] == 0.0
 
     @pytest.mark.parametrize("trial", range(20))
     def test_d2_reduction_identity(self, trial):
         p = random_walk_panel(np.random.default_rng(trial), d=2, n=80)
-        _, st, rows = fitted(p)
-        t_multi = info_flow(rows[0], st, 1, 0)
+        st = compute_statistics(p, derive_series(p))
+        t_multi = estimate_flows(p).T[1, 0]
         assert t_multi == pytest.approx(bivariate_flow(st), rel=1e-10)
 
     def test_no_accidental_symmetry(self, rng):
         p = random_walk_panel(rng, d=3, n=300)
-        _, st, rows = fitted(p)
-        assert info_flow(rows[0], st, 1, 0) != info_flow(rows[1], st, 0, 1)
+        m = estimate_flows(p)
+        assert m.T[1, 0] != m.T[0, 1]
 
 
 class TestSelfInfluence:
@@ -108,23 +109,14 @@ class TestSelfInfluence:
         t = np.arange(5000) * dt
         x = 3.0 * np.exp(-0.5 * t)
         p = TimeSeriesPanel(data=x[None, :], dt=dt)
-        _, st, rows = fitted(p)
-        assert self_influence(rows[0], 0) == pytest.approx(-0.5, rel=1e-3)
+        assert estimate_flows(p).self[0] == pytest.approx(-0.5, rel=1e-3)
 
     def test_white_noise_discretization_value(self):
         # for iid samples the forward-difference fit sees a_ii = -1/dt
         rng = np.random.default_rng(3)
         p = TimeSeriesPanel(data=rng.standard_normal((1, 100000)))
-        der, st, rows = fitted(p)
-        fb = fisher_block(p, der, rows[0], 0)
-        a = self_influence(rows[0], 0)
-        assert abs(a - (-1.0)) < 3.0 * np.sqrt(fb.coef_var(0))
-
-    def test_wrong_row_rejected(self, rng):
-        p = random_walk_panel(rng, d=2, n=100)
-        _, _, rows = fitted(p)
-        with pytest.raises(ValueError, match="target"):
-            self_influence(rows[0], 1)
+        m = estimate_flows(p)
+        assert abs(m.self[0] - (-1.0)) < 3.0 * m.self_stderr[0]
 
 
 class TestNoiseRate:
@@ -133,8 +125,7 @@ class TestNoiseRate:
         t = np.arange(5000) * dt
         x = 3.0 * np.exp(-0.5 * t)
         p = TimeSeriesPanel(data=x[None, :], dt=dt)
-        _, st, rows = fitted(p)
-        assert noise_rate(rows[0], st, 0) == pytest.approx(0.0, abs=1e-6)
+        assert estimate_flows(p).noise_rate[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_ou_process_stationary_oracle(self):
         # dX = -X dt + dW: sigma = 1/2, g = 1 -> noise rate = 1, sampled
@@ -148,8 +139,7 @@ class TestNoiseRate:
         for i in range(1, n):
             x[i] = decay * x[i - 1] + scale * e[i]
         p = TimeSeriesPanel(data=x[None, :], dt=dt)
-        _, st, rows = fitted(p)
-        assert noise_rate(rows[0], st, 0) == pytest.approx(1.0, rel=0.05)
+        assert estimate_flows(p).noise_rate[0] == pytest.approx(1.0, rel=0.05)
 
     def test_var_noise_rate_matches_stationary_moments(self):
         # noise rate ~ g / (2 sigma_ii) with sigma the stationary VAR
@@ -163,8 +153,7 @@ class TestNoiseRate:
         expected = 1.0 / (2.0 * np.diag(sigma_unit))
         for b in (1.0, 100.0):
             panel = simulate_var(var6_spec(b=b, N=20000, seed=9))
-            _, st, rows = fitted(panel)
-            got = np.array([noise_rate(rows[i], st, i) for i in range(6)])
+            got = estimate_flows(panel).noise_rate
             np.testing.assert_allclose(got, expected, rtol=0.10)
 
 
@@ -197,10 +186,10 @@ class TestFisherBlock:
                 tmp = theta.copy(); tmp[a] -= h[a]; tmp[b] += h[b]
                 tmm = theta.copy(); tmm[a] -= h[a]; tmm[b] -= h[b]
                 val = (
-                    log_likelihood(tpp, x, der.data, p.dt, 1)
-                    - log_likelihood(tpm, x, der.data, p.dt, 1)
-                    - log_likelihood(tmp, x, der.data, p.dt, 1)
-                    + log_likelihood(tmm, x, der.data, p.dt, 1)
+                    log_likelihood(tpp, x, der, p.dt, 1)
+                    - log_likelihood(tpm, x, der, p.dt, 1)
+                    - log_likelihood(tmp, x, der, p.dt, 1)
+                    + log_likelihood(tmm, x, der, p.dt, 1)
                 ) / (4.0 * h[a] * h[b])
                 hess[a, b] = hess[b, a] = val
         analytic = -st.n_used * fb.matrix
@@ -231,53 +220,29 @@ class TestFisherBlock:
         assert halves[0] / halves[1] == pytest.approx(2.0, rel=0.15)
 
 
-def synthetic_inputs(t_value, stderr, c01=1.0, c00=1.0):
-    """Hand-built row/stats/fisher giving an exact (T, stderr) pair."""
-    a = t_value * c00 / c01
-    st = StatisticsBundle(
-        means=np.zeros(2),
-        dot_means=np.zeros(2),
-        C=np.array([[c00, c01], [c01, 4.0]]),
-        Cd=np.zeros((2, 2)),
-        detC=4.0 * c00 - c01 ** 2,
-        n_used=100,
-    )
-    row = RowMLE(target=0, f_hat=0.0, a_hat=np.array([0.3, a]), g_hat=1.0,
-                 residual_ss=100.0)
-    var = (stderr / abs(c01 / c00)) ** 2
-    cov = np.zeros((4, 4))
-    cov[2, 2] = var
-    fb = FisherBlock(target=0, matrix=np.eye(4), param_cov=cov)
-    return row, st, fb
-
-
 class TestSignificance:
     def test_ci_arithmetic_at_90(self):
-        row, st, fb = synthetic_inputs(t_value=0.10, stderr=0.01)
-        est = flow_with_significance(row, st, fb, 1, 0, alpha=0.90)
-        assert est.T == pytest.approx(0.10)
-        assert est.stderr == pytest.approx(0.01)
-        assert est.ci_low == pytest.approx(0.10 - 1.6448536269514722 * 0.01, abs=1e-9)
-        assert est.ci_high == pytest.approx(0.10 + 1.6448536269514722 * 0.01, abs=1e-9)
-        assert est.significant
+        ci_low, ci_high, _, significant = significance(0.10, 0.01, alpha=0.90)
+        assert ci_low == pytest.approx(0.10 - 1.6448536269514722 * 0.01, abs=1e-9)
+        assert ci_high == pytest.approx(0.10 + 1.6448536269514722 * 0.01, abs=1e-9)
+        assert significant
 
     def test_small_flow_not_significant(self):
-        row, st, fb = synthetic_inputs(t_value=0.005, stderr=0.01)
-        est = flow_with_significance(row, st, fb, 1, 0, alpha=0.90)
-        assert not est.significant
-        assert est.ci_low < 0.0 < est.ci_high
-        assert est.p_value > 0.10
+        ci_low, ci_high, p_value, significant = significance(0.005, 0.01, alpha=0.90)
+        assert not significant
+        assert ci_low < 0.0 < ci_high
+        assert p_value > 0.10
 
     def test_significant_iff_ci_excludes_zero(self, rng):
         p = random_walk_panel(rng, d=3, n=200)
         matrix = estimate_flows(p, alpha=0.90)
+        ci_low, ci_high, _, _ = significance(matrix.T, matrix.stderr, alpha=0.90)
         for j in range(3):
             for i in range(3):
                 if j == i:
                     continue
-                est = matrix.flows[j][i]
-                assert est.ci_low <= est.T <= est.ci_high
-                assert est.significant == (est.ci_low > 0.0 or est.ci_high < 0.0)
+                assert ci_low[j, i] <= matrix.T[j, i] <= ci_high[j, i]
+                assert matrix.significant[j, i] == (ci_low[j, i] > 0.0 or ci_high[j, i] < 0.0)
 
     def test_nil_causality_false_positive_rate(self):
         # independent AR(1) processes: roughly 10% of pairs flagged at 90%
@@ -297,7 +262,7 @@ class TestSignificance:
                 for i in range(d):
                     if j != i:
                         total += 1
-                        hits += matrix.flows[j][i].significant
+                        hits += matrix.significant[j, i]
         rate = hits / total
         assert abs(rate - 0.10) < 3.0 * np.sqrt(0.1 * 0.9 / total)
 
@@ -305,10 +270,67 @@ class TestSignificance:
 class TestNodeDiagnostics:
     def test_self_loop_uses_same_ci_machinery(self, rng):
         p = random_walk_panel(rng, d=2, n=300)
-        der, st, rows = fitted(p)
-        fb = fisher_block(p, der, rows[0], 0)
-        diag = node_diagnostics(rows[0], st, fb, 0, alpha=0.90)
+        m = estimate_flows(p, alpha=0.90)
         z = gaussian_quantile(0.95)
-        expected = abs(diag.self_influence) > z * diag.self_stderr
-        assert diag.is_self_loop == expected
-        assert diag.noise_rate >= 0.0
+        expected = abs(m.self[0]) > z * m.self_stderr[0]
+        assert m.self_loop[0] == expected
+        assert m.noise_rate[0] >= 0.0
+
+
+def max_rel(got, want, normwise=False):
+    scale = np.max(np.abs(want)) if normwise else np.abs(want)
+    return float(np.max(np.abs(got - want) / scale))
+
+
+class TestClosedFormMatchesOracle:
+    @given(
+        seed=st_.integers(0, 2**32 - 1),
+        d=st_.integers(2, 8),
+        n=st_.integers(60, 400),
+        dt=st_.sampled_from([0.01, 0.1, 1.0, 5.0]),
+        ridge=st_.one_of(st_.just(0.0), st_.floats(1e-3, 5.0)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_general_fisher_block(self, seed, d, n, dt, ridge):
+        p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
+        der = derive_series(p)
+        ref = reference_flows(compute_statistics(p, der), p, der, alpha=0.90, ridge=ridge)
+        if np.min(ref["min_info_eig"]) <= 0.0:
+            with pytest.raises(SingularInformationError):
+                estimate_flows(p, alpha=0.90, ridge=ridge)
+            return
+        m = estimate_flows(p, alpha=0.90, ridge=ridge)
+        off = ~np.eye(d, dtype=bool)
+        assert max_rel(m.T[off], ref["T"][off], normwise=True) <= 1e-12
+        assert max_rel(m.self, ref["self"], normwise=True) <= 1e-12
+        assert max_rel(m.stderr[off], ref["stderr"][off]) <= 1e-12
+        assert max_rel(m.self_stderr, ref["self_stderr"]) <= 1e-12
+        assert max_rel(m.noise_rate, ref["noise_rate"]) <= 1e-12
+        np.testing.assert_array_equal(m.significant, ref["significant"])
+        np.testing.assert_array_equal(m.self_loop, ref["self_loop"])
+
+
+class TestSingularInformation:
+    def test_ridge_on_singular_covariance_is_not_certainty(self, rng):
+        # duplicate series: the ridge solves for coefficients, but their
+        # information matrix needs the unregularized C, which is singular
+        x = np.cumsum(rng.standard_normal(100))
+        p = TimeSeriesPanel(data=np.vstack([x, x]))
+        with pytest.raises(SingularInformationError, match="condition number"):
+            estimate_flows(p, ridge=1e-3)
+
+    def test_indefinite_information_at_large_ridge(self):
+        # anti-persistent AR(1) rows: the derivative is mostly explained by
+        # the level, so a strong ridge leaves the rank-one denominator < 0
+        rng = np.random.default_rng(1)
+        e = rng.standard_normal((2, 2000))
+        x = np.zeros_like(e)
+        for t in range(1, 2000):
+            x[:, t] = -0.5 * x[:, t - 1] + e[:, t]
+        p = TimeSeriesPanel(data=x)
+        der = derive_series(p)
+        ref = reference_flows(compute_statistics(p, der), p, der, ridge=100.0)
+        assert np.all(ref["min_info_eig"] < 0.0)
+        estimate_flows(p)
+        with pytest.raises(SingularInformationError, match="positive definite"):
+            estimate_flows(p, ridge=100.0)

@@ -161,7 +161,7 @@ class TestJson:
             for i in range(6):
                 if j == i:
                     continue
-                expected = matrix.flows[j][i].significant
+                expected = matrix.significant[j, i]
                 assert ((labels[j], labels[i]) in in_graph) == expected
 
     def test_unsupported_schema_version(self):

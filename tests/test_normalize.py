@@ -3,58 +3,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from infoflow import (
-    DegenerateNormalizerError,
-    FlowEstimate,
-    NodeDiagnostics,
-    estimate_flows,
-    normalize_flows,
-)
+from infoflow import DegenerateNormalizerError, estimate_flows, normalize_flows
 
 from conftest import random_walk_panel
 
 
-def flow(j, i, t):
-    return FlowEstimate(source=j, target=i, T=t, stderr=0.01,
-                        ci_low=t - 0.02, ci_high=t + 0.02,
-                        p_value=0.5, significant=abs(t) > 0.02)
-
-
-def diag(i, self_influence, noise):
-    return NodeDiagnostics(node=i, self_influence=self_influence,
-                           self_stderr=0.01, noise_rate=noise,
-                           is_self_loop=abs(self_influence) > 0.02)
+def normalize_target(inflows, self_influence, noise):
+    """Normalize target 0 of a flow matrix whose column 0 is ``inflows``
+    (entry 0 unused); every other target is pure self-influence."""
+    d = len(inflows)
+    T = np.zeros((d, d))
+    T[1:, 0] = inflows[1:]
+    nf = normalize_flows(T, [self_influence] + [1.0] * (d - 1), [noise] + [0.0] * (d - 1))
+    assert np.all(nf.tau[:, 1:] == 0.0)
+    return nf.Z[0], nf.tau[:, 0], nf.self_share[0], nf.noise_share[0]
 
 
 class TestNormalizeFlows:
     def test_single_flow_dominates(self):
         # zero self and noise terms: the lone inflow carries 100%
-        nf = normalize_flows([None, flow(1, 0, 0.25)], diag(0, 0.0, 0.0))
-        assert nf.tau[1] == pytest.approx(1.0)
-        assert nf.Z == pytest.approx(0.25)
+        Z, tau, _, _ = normalize_target([None, 0.25], 0.0, 0.0)
+        assert tau[1] == pytest.approx(1.0)
+        assert Z == pytest.approx(0.25)
 
     def test_budget_sums_to_one(self):
-        nf = normalize_flows([None, flow(1, 0, 0.1), flow(2, 0, -0.3)],
-                             diag(0, -0.8, 0.4))
-        total = nf.self_share + nf.noise_share + np.sum(np.abs(nf.tau))
+        Z, tau, self_share, noise_share = normalize_target([None, 0.1, -0.3], -0.8, 0.4)
+        total = self_share + noise_share + np.sum(np.abs(tau))
         assert total == pytest.approx(1.0, rel=1e-12)
-        assert nf.Z == pytest.approx(0.8 + 0.1 + 0.3 + 0.4)
+        assert Z == pytest.approx(0.8 + 0.1 + 0.3 + 0.4)
 
     def test_scale_invariance(self):
-        a = normalize_flows([None, flow(1, 0, 0.1), flow(2, 0, -0.3)],
-                            diag(0, -0.8, 0.4))
+        _, a, _, _ = normalize_target([None, 0.1, -0.3], -0.8, 0.4)
         c = 17.0
-        b = normalize_flows([None, flow(1, 0, 0.1 * c), flow(2, 0, -0.3 * c)],
-                            diag(0, -0.8 * c, 0.4 * c))
-        np.testing.assert_allclose(b.tau, a.tau, rtol=1e-12)
+        _, b, _, _ = normalize_target([None, 0.1 * c, -0.3 * c], -0.8 * c, 0.4 * c)
+        np.testing.assert_allclose(b, a, rtol=1e-12)
 
     def test_degenerate_normalizer(self):
         with pytest.raises(DegenerateNormalizerError):
-            normalize_flows([None, flow(1, 0, 0.0)], diag(0, 0.0, 0.0))
+            normalize_target([None, 0.0], 0.0, 0.0)
 
     def test_mismatched_target_rejected(self):
+        # per-target vectors that do not match the flow matrix's targets
         with pytest.raises(ValueError):
-            normalize_flows([None, flow(1, 1, 0.1)], diag(0, 1.0, 0.1))
+            normalize_flows(np.zeros((2, 2)), [1.0], [0.1, 0.1])
 
     @given(
         ts=st_.lists(
@@ -69,24 +60,21 @@ class TestNormalizeFlows:
     )
     @settings(max_examples=200, deadline=None)
     def test_tau_bounded_and_sign_preserving(self, ts, self_inf, noise):
-        flows = [None] + [flow(j + 1, 0, t) for j, t in enumerate(ts)]
-        d = diag(0, self_inf, noise)
         if abs(self_inf) + sum(abs(t) for t in ts) + noise == 0.0:
             return
-        nf = normalize_flows(flows, d)
-        assert np.all(np.abs(nf.tau) <= 1.0 + 1e-12)
+        _, tau, _, _ = normalize_target([None] + ts, self_inf, noise)
+        assert np.all(np.abs(tau) <= 1.0 + 1e-12)
         for j, t in enumerate(ts):
-            assert np.sign(nf.tau[j + 1]) == np.sign(t)
+            assert np.sign(tau[j + 1]) == np.sign(t)
 
     def test_pipeline_consistency(self, rng):
         p = random_walk_panel(rng, d=3, n=200)
         matrix = estimate_flows(p)
+        nf = normalize_flows(matrix.T, matrix.self, matrix.noise_rate)
+        np.testing.assert_array_equal(matrix.tau, nf.tau)
         for i in range(3):
-            nf = normalize_flows(
-                [matrix.flows[j][i] for j in range(3)], matrix.diagnostics[i]
-            )
             for j in range(3):
                 if j != i:
-                    assert nf.tau[j] == pytest.approx(
-                        matrix.flows[j][i].T / nf.Z, rel=1e-12
+                    assert nf.tau[j, i] == pytest.approx(
+                        matrix.T[j, i] / nf.Z[i], rel=1e-12
                     )
