@@ -10,6 +10,7 @@ from .errors import (
     DegenerateNormalizerError,
     DivergenceError,
     InfoflowError,
+    OutputError,
     ParseError,
     SingularCovarianceError,
     SingularInformationError,

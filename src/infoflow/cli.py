@@ -16,13 +16,15 @@ nonzero code (see errors.py).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 
-from .errors import InfoflowError, ParseError
+from .errors import InfoflowError, OutputError, ParseError
 from .estimator import DEFAULT_ALPHA, estimate_flows
 from .graph import build_graph, to_dot, to_json
 from .simgen import SWEEP_PAIRS, RosslerSpec, preset_panel, sweep_epsilon
@@ -34,62 +36,124 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
 
     The time index column is ignored for estimation (series must be
     equi-spaced; dt comes from the caller).  Column order defines the
-    variable indices.
+    variable indices.  The file must be UTF-8 text.
+
+    The body is parsed in bulk; any file the bulk parser rejects, or
+    whose values it cannot accept as they are, is read again row by row,
+    which decides what is valid and names the offending row and column.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise ParseError(f"{path}: empty file") from None
-            if len(header) < 3:
-                raise ParseError(
-                    f"{path}: need a time column plus at least 2 variable columns, "
-                    f"got {len(header)} columns"
-                )
-            labels = tuple(name.strip() for name in header[1:])
-            rows = []
-            for lineno, cells in enumerate(reader, start=2):
-                if not cells:
-                    continue
-                if len(cells) != len(header):
-                    raise ParseError(
-                        f"{path}: row {lineno} has {len(cells)} cells, "
-                        f"expected {len(header)}"
-                    )
-                values = []
-                for col, cell in enumerate(cells[1:], start=2):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: row {lineno}, column {col}: "
-                            f"non-numeric cell {cell.strip()!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise ParseError(
-                            f"{path}: row {lineno}, column {col}: non-finite value"
-                        )
-                    values.append(value)
-                rows.append(values)
+        parsed = _read_bulk(path)
+        labels, data = parsed if parsed is not None else _read_rows(path)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    data = np.array(rows).T
     try:
         return TimeSeriesPanel(data=data, dt=dt, labels=labels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
+# Bytes that np.loadtxt strips as whitespace around a number but float()
+# rejects (the ASCII information separators).
+_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _read_bulk(path: str):
+    """(labels, data) parsed with ``np.loadtxt``, or None to defer to ``_read_rows``."""
+    if not _bulk_parsable(path):
+        return None
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), None)
+        if header is None or len(header) < 3:
+            return None
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported by _read_rows as "no data rows"
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    values = table[:, 1:]
+    if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(values).all():
+        return None
+    return tuple(name.strip() for name in header[1:]), values.T
+
+
+def _read_rows(path: str):
+    """(labels, data) parsed one row at a time, raising ParseError on bad input."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if len(header) < 3:
+            raise ParseError(
+                f"{path}: need a time column plus at least 2 variable columns, "
+                f"got {len(header)} columns"
+            )
+        labels = tuple(name.strip() for name in header[1:])
+        rows = []
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(
+                    f"{path}: row {lineno} has {len(cells)} cells, "
+                    f"expected {len(header)}"
+                )
+            values = []
+            for col, cell in enumerate(cells[1:], start=2):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: "
+                        f"non-numeric cell {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: non-finite value"
+                    )
+                values.append(value)
+            rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return labels, np.array(rows).T
+
+
+def _bulk_parsable(path: str) -> bool:
+    """Whether ``path`` is free of bytes that np.loadtxt and float() read differently.
+
+    Raises ParseError, naming the first bad byte, if the file is not UTF-8.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return not any(space in raw for space in _LOADTXT_ONLY_SPACES)
+
+
+# Rows per write in write_csv_panel: bounds the Python floats alive at once.
+WRITE_BLOCK_ROWS = 4096
+
+
 def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
-    """Write a panel as CSV with a time-index column and label header."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t"] + list(panel.labels))
-    for n in range(panel.n):
-        writer.writerow([n] + [repr(float(v)) for v in panel.data[:, n]])
+    """Write a panel as CSV with a time-index column and label header.
+
+    Values are written as ``repr`` of the float, the shortest text that
+    reads back to the same double.
+    """
+    csv.writer(fh, lineterminator="\n").writerow(["t"] + list(panel.labels))
+    rows = panel.data.T
+    for start in range(0, panel.n, WRITE_BLOCK_ROWS):
+        block = rows[start : start + WRITE_BLOCK_ROWS].tolist()
+        fh.write("".join(
+            f"{n},{','.join(map(repr, row))}\n"
+            for n, row in enumerate(block, start=start)
+        ))
 
 
 def _matrix_csv(matrix) -> str:
@@ -150,12 +214,20 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path and out_path != "-":
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _output(path: str | None):
+    """The text file at an --out path, or stdout when the path is unset or "-".
+
+    An OSError while opening or writing the file becomes an OutputError.
+    """
+    if not path or path == "-":
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -178,7 +250,8 @@ def cmd_analyze(args) -> int:
     else:
         artifact = _matrix_csv(matrix)
     if args.out:
-        _emit(artifact, args.out)
+        with _output(args.out) as fh:
+            fh.write(artifact)
     else:
         sys.stdout.write("\n" + artifact)
     return 0
@@ -186,11 +259,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_generate(args) -> int:
     panel, _ = preset_panel(args.preset, seed=args.seed, epsilon=args.epsilon)
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            write_csv_panel(panel, fh)
-    else:
-        write_csv_panel(panel, sys.stdout)
+    with _output(args.out) as fh:
+        write_csv_panel(panel, fh)
     return 0
 
 
@@ -212,7 +282,8 @@ def cmd_sweep(args) -> int:
             + ",".join(repr(pt.abs_T[k]) for k in keys) + ","
             + ",".join(str(int(pt.significant[k])) for k in keys)
         )
-    _emit("\n".join(lines) + "\n", args.out)
+    with _output(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -17,6 +17,12 @@ class ParseError(InfoflowError):
     exit_code = 2
 
 
+class OutputError(InfoflowError):
+    """An output file could not be written (missing directory, no permission)."""
+
+    exit_code = 2
+
+
 class DegenerateInputError(InfoflowError):
     """Input data unusable for estimation (e.g. a constant series)."""
 

@@ -16,6 +16,7 @@ panels on any platform.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -115,46 +116,65 @@ ROSSLER_LABELS = ("x1", "x2", "x3", "y1", "y2", "y3", "z1", "z2", "z3")
 ROSSLER_OSCILLATOR_ROWS = (0, 3, 6)
 
 
-def _rossler_rhs(s: np.ndarray, omega, eps: float) -> np.ndarray:
-    x1, x2, x3, y1, y2, y3, z1, z2, z3 = s
-    w1, w2, w3 = omega
-    return np.array(
-        [
-            -w1 * x2 - x3,
-            w1 * x1 + 0.15 * x2,
-            0.2 + x3 * (x1 - 10.0),
-            -w2 * y2 - y3 + eps * (x1 - y1),
-            w2 * y1 + 0.15 * y2,
-            0.2 + y3 * (y1 - 10.0),
-            -w3 * z2 - z3 + eps * (x1 - z1),
-            w3 * z1 + 0.15 * z2,
-            0.2 + z3 * (z1 - 10.0),
-        ]
-    )
-
-
 def simulate_rossler(spec: RosslerSpec) -> TimeSeriesPanel:
     """Integrate the coupled Rossler system and return the 9-row panel.
 
     Heun's predictor-corrector scheme (explicit trapezoidal RK2) with
     step dt; initial state uniform in [0, 1]^9 from the seed; the first
     burn_in steps are discarded.
+
+    The step runs on Python floats in a fixed operation order: k2 is
+    evaluated at s + dt*k1 and the update is s + (0.5*dt)*(k1 + k2), so
+    the trajectory is IEEE-identical to the same scheme on float64
+    arrays.
     """
     rng = np.random.default_rng(spec.seed)
-    s = rng.uniform(0.0, 1.0, 9)
-    dt = spec.dt
-    out = np.empty((spec.N_total, 9))
+    x1, x2, x3, y1, y2, y3, z1, z2, z3 = rng.uniform(0.0, 1.0, 9).tolist()
+    w1, w2, w3 = (float(w) for w in spec.omega)
+    eps = float(spec.epsilon)
+    dt = float(spec.dt)
+    half_dt = 0.5 * dt
+    lim = DIVERGENCE_LIMIT
+    out = array("d")
     for n in range(spec.N_total):
-        k1 = _rossler_rhs(s, spec.omega, spec.epsilon)
-        k2 = _rossler_rhs(s + dt * k1, spec.omega, spec.epsilon)
-        s = s + 0.5 * dt * (k1 + k2)
-        if not np.all(np.abs(s) < DIVERGENCE_LIMIT):
+        a1 = -w1 * x2 - x3
+        a2 = w1 * x1 + 0.15 * x2
+        a3 = 0.2 + x3 * (x1 - 10.0)
+        a4 = -w2 * y2 - y3 + eps * (x1 - y1)
+        a5 = w2 * y1 + 0.15 * y2
+        a6 = 0.2 + y3 * (y1 - 10.0)
+        a7 = -w3 * z2 - z3 + eps * (x1 - z1)
+        a8 = w3 * z1 + 0.15 * z2
+        a9 = 0.2 + z3 * (z1 - 10.0)
+        p1 = x1 + dt * a1
+        p2 = x2 + dt * a2
+        p3 = x3 + dt * a3
+        p4 = y1 + dt * a4
+        p5 = y2 + dt * a5
+        p6 = y3 + dt * a6
+        p7 = z1 + dt * a7
+        p8 = z2 + dt * a8
+        p9 = z3 + dt * a9
+        x1 = x1 + half_dt * (a1 + (-w1 * p2 - p3))
+        x2 = x2 + half_dt * (a2 + (w1 * p1 + 0.15 * p2))
+        x3 = x3 + half_dt * (a3 + (0.2 + p3 * (p1 - 10.0)))
+        y1 = y1 + half_dt * (a4 + (-w2 * p5 - p6 + eps * (p1 - p4)))
+        y2 = y2 + half_dt * (a5 + (w2 * p4 + 0.15 * p5))
+        y3 = y3 + half_dt * (a6 + (0.2 + p6 * (p4 - 10.0)))
+        z1 = z1 + half_dt * (a7 + (-w3 * p8 - p9 + eps * (p1 - p7)))
+        z2 = z2 + half_dt * (a8 + (w3 * p7 + 0.15 * p8))
+        z3 = z3 + half_dt * (a9 + (0.2 + p9 * (p7 - 10.0)))
+        # Component by component, so that a NaN anywhere fails the test.
+        if not (abs(x1) < lim and abs(x2) < lim and abs(x3) < lim
+                and abs(y1) < lim and abs(y2) < lim and abs(y3) < lim
+                and abs(z1) < lim and abs(z2) < lim and abs(z3) < lim):
             raise DivergenceError(
                 f"Rossler trajectory diverged at step {n} (|state| > {DIVERGENCE_LIMIT:g})"
             )
-        out[n] = s
+        out.extend((x1, x2, x3, y1, y2, y3, z1, z2, z3))
+    data = np.frombuffer(out, dtype=np.float64).reshape(spec.N_total, 9)
     return TimeSeriesPanel(
-        data=out[spec.burn_in :].T, dt=dt, labels=ROSSLER_LABELS
+        data=data[spec.burn_in :].T, dt=spec.dt, labels=ROSSLER_LABELS
     )
 
 

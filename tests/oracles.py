@@ -5,14 +5,15 @@ assembles and inverts that row's general (d+2)-square observed
 information matrix from analytic second derivatives (no vanishing cross
 terms assumed), and ``cofactor_solution`` solves the normal equations by
 explicit cofactor expansion.  ``reference_flows`` runs the per-row path
-over a whole panel, one target at a time.
+over a whole panel, one target at a time.  ``reference_rossler`` is the
+coupled-Rossler Heun integrator on float64 arrays.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from infoflow import SingularCovarianceError, SingularInformationError
+from infoflow import DivergenceError, SingularCovarianceError, SingularInformationError
 from infoflow.estimator import gaussian_quantile
 from infoflow.stats import COND_LIMIT
 
@@ -145,3 +146,37 @@ def reference_flows(stats, panel, derived, alpha=0.90, ridge=0.0) -> dict:
         out["self_loop"][i] = (a_ii - z * se_ii) > 0.0 or (a_ii + z * se_ii) < 0.0
         out["noise_rate"][i] = row.g_hat / (2.0 * C[i, i])
     return out
+
+
+def _rossler_rhs(s, omega, eps):
+    x1, x2, x3, y1, y2, y3, z1, z2, z3 = s
+    w1, w2, w3 = omega
+    return np.array(
+        [
+            -w1 * x2 - x3,
+            w1 * x1 + 0.15 * x2,
+            0.2 + x3 * (x1 - 10.0),
+            -w2 * y2 - y3 + eps * (x1 - y1),
+            w2 * y1 + 0.15 * y2,
+            0.2 + y3 * (y1 - 10.0),
+            -w3 * z2 - z3 + eps * (x1 - z1),
+            w3 * z1 + 0.15 * z2,
+            0.2 + z3 * (z1 - 10.0),
+        ]
+    )
+
+
+def reference_rossler(spec, limit=1e6) -> np.ndarray:
+    """(9, N_total - burn_in) Heun trajectory of ``spec``, one array RHS per stage."""
+    rng = np.random.default_rng(spec.seed)
+    s = rng.uniform(0.0, 1.0, 9)
+    dt = spec.dt
+    out = np.empty((spec.N_total, 9))
+    for n in range(spec.N_total):
+        k1 = _rossler_rhs(s, spec.omega, spec.epsilon)
+        k2 = _rossler_rhs(s + dt * k1, spec.omega, spec.epsilon)
+        s = s + 0.5 * dt * (k1 + k2)
+        if not np.all(np.abs(s) < limit):
+            raise DivergenceError(f"Rossler trajectory diverged at step {n}")
+        out[n] = s
+    return out[spec.burn_in :].T

@@ -1,13 +1,16 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from infoflow import TimeSeriesPanel
-from infoflow.cli import main, read_csv_panel, write_csv_panel
+from infoflow import ParseError, TimeSeriesPanel
+from infoflow.cli import _read_bulk, _read_rows, main, read_csv_panel, write_csv_panel
 
 
 def run(capsys, *argv):
@@ -88,6 +91,109 @@ class TestCsvRoundTrip:
         code, _, err = run(capsys, "analyze", "--csv", str(tmp_path / "nope.csv"))
         assert code == 2
         assert "error:" in err
+
+
+ROWS = ["0,1.5,-2.0", "1,0.25,3e-5", "2,-7.0,1.0", "3,4.5,2.5", "4,0.0,-1e300"]
+
+
+def csv_text(rows=ROWS, header="t,a,b", eol="\n"):
+    return eol.join([header] + list(rows)) + eol
+
+
+# Inputs on which the bulk reader must defer to, or agree with, the
+# row-by-row reader: (id, file bytes).
+READER_CASES = [
+    ("plain", csv_text().encode()),
+    ("quoted-cells", csv_text([f'"{i}","{i}.5","-{i}"' for i in range(5)]).encode()),
+    ("spaces-around-cells", csv_text([" 0 , 1.5 ,2", "1,  2.5 , 3 "] + ROWS[2:]).encode()),
+    ("blank-lines", csv_text(ROWS[:2] + ["", ""] + ROWS[2:]).encode()),
+    ("line-of-spaces", csv_text(ROWS[:2] + ["   "] + ROWS[2:]).encode()),
+    ("hash-in-cell", csv_text(ROWS[:3] + ["3,1.0#x,2.0"] + ROWS[4:]).encode()),
+    ("information-separator", csv_text(ROWS[:3] + ["3,\x1c1.0,2.0"] + ROWS[4:]).encode()),
+    ("underscore-digits", csv_text(ROWS[:3] + ["3,1_0,2.0"] + ROWS[4:]).encode()),
+    ("crlf", csv_text(eol="\r\n").encode()),
+    ("utf8-bom", b"\xef\xbb\xbf" + csv_text().encode()),
+    ("non-numeric-time", csv_text([f"t{i},{i}.5,{i * i}" for i in range(5)]).encode()),
+    ("trailing-commas", csv_text([r + "," for r in ROWS]).encode()),
+    ("inf", csv_text(ROWS[:3] + ["3,inf,2.0"] + ROWS[4:]).encode()),
+    ("nan", csv_text(ROWS[:3] + ["3,1.0,nan"] + ROWS[4:]).encode()),
+    ("header-only", b"t,a,b\n"),
+    ("two-columns", csv_text([r.rsplit(",", 1)[0] for r in ROWS], header="t,a").encode()),
+    ("extra-cell", csv_text(ROWS[:3] + ["3,1.0,2.0,4.0"] + ROWS[4:]).encode()),
+    ("extra-column", csv_text([r + ",1.0" for r in ROWS]).encode()),
+]
+
+
+def read_panel(path):
+    panel = read_csv_panel(path)
+    return panel.labels, panel.data
+
+
+def read_outcome(read, path):
+    """(labels, data bits) from a reader, or its ParseError text."""
+    try:
+        labels, data = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return labels, np.asarray(data).view(np.uint64).tolist()
+
+
+class TestCsvReaderPaths:
+    @pytest.mark.parametrize("content", [c for _, c in READER_CASES],
+                             ids=[name for name, _ in READER_CASES])
+    def test_same_result_as_row_reader(self, tmp_path, content):
+        path = str(tmp_path / "p.csv")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read_outcome(read_panel, path)
+        assert got == read_outcome(_read_rows, path)
+
+    def test_plain_file_is_read_in_bulk(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(csv_text())
+        assert _read_bulk(str(path)) is not None
+
+    @pytest.mark.parametrize("offset_rows", [1, 3000])
+    def test_non_utf8_names_file_and_byte(self, tmp_path, capsys, offset_rows):
+        head = csv_text([f"{i},{i}.5,1.0" for i in range(offset_rows)]).encode()
+        path = tmp_path / "latin.csv"
+        path.write_bytes(head + b"9,\xff1.0,2.0\n")
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
+        assert code == 2
+        assert err == f"error: {path}: not UTF-8 text (byte {len(head) + 2})\n"
+
+
+class TestCsvWriter:
+    def test_bytes_match_csv_writer_reference(self):
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((3, 2 * 4096 + 5))
+        data[:, :4] = [[-0.0, 5e-324, 1e300, 3.0],
+                       [2.0, -1e-300, -0.0, 1e16],
+                       [-7.0, 0.1, 1.0 / 3.0, 2.0 ** 60]]
+        panel = TimeSeriesPanel(data=data, labels=("a,b", "c", 'q"d'))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(["t"] + list(panel.labels))
+        for n in range(panel.n):
+            writer.writerow([n] + [repr(float(v)) for v in panel.data[:, n]])
+        got = io.StringIO()
+        write_csv_panel(panel, got)
+        assert got.getvalue() == want.getvalue()
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("argv", [
+        ["generate", "var6-b100-short"],
+        ["analyze", "--preset", "var6-b100-short"],
+        ["sweep", "--eps-from", "0.1", "--eps-to", "0.1", "--steps", "1"],
+    ], ids=["generate", "analyze", "sweep"])
+    def test_missing_directory_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "no" / "such" / "file.out"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err == f"error: {out}: No such file or directory\n"
 
 
 class TestAnalyze:

@@ -15,6 +15,7 @@ from infoflow import (
 )
 
 from conftest import var6_spec
+from oracles import reference_rossler
 
 
 def scalar_var_spec(a, b=1.0, N=20000, seed=0):
@@ -101,6 +102,29 @@ class TestSimulateRossler:
     def test_divergence_raises(self):
         spec = RosslerSpec(seed=0, epsilon=-50.0, N_total=50000, burn_in=0)
         with pytest.raises(DivergenceError, match="diverged"):
+            simulate_rossler(spec)
+
+    @pytest.mark.parametrize("kw", [
+        dict(seed=0, epsilon=0.0),
+        dict(seed=1, epsilon=0.1),
+        dict(seed=2, epsilon=0.25),
+        dict(seed=0, epsilon=0.25),
+        dict(seed=1, epsilon=0.0),
+        dict(seed=2, epsilon=0.1),
+        dict(seed=1, epsilon=0.1, omega=(1.0, 0.97, 0.93)),
+        dict(seed=2, epsilon=0.1, dt=0.002),
+    ])
+    def test_bit_identical_to_array_reference(self, kw):
+        spec = RosslerSpec(N_total=8000, burn_in=1000, **kw)
+        np.testing.assert_array_equal(
+            simulate_rossler(spec).data.view(np.uint64),
+            reference_rossler(spec).view(np.uint64),
+        )
+
+    def test_nan_in_any_component_diverges_at_first_step(self):
+        # NaN enters the second oscillator only; the state check must see it
+        spec = RosslerSpec(omega=(1.015, float("nan"), 0.95), N_total=100, burn_in=0)
+        with pytest.raises(DivergenceError, match="at step 0 "):
             simulate_rossler(spec)
 
     def test_strong_coupling_synchronizes_slaves(self):
