@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import sys
 import warnings
@@ -63,7 +64,10 @@ def _read_bulk(path: str):
     if not _bulk_parsable(path):
         return None
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+        try:
+            header = next(csv.reader(fh), None)
+        except csv.Error:
+            return None
         if header is None or len(header) < 3:
             return None
         try:
@@ -82,7 +86,7 @@ def _read_bulk(path: str):
 def _read_rows(path: str):
     """(labels, data) parsed one row at a time, raising ParseError on bad input."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
@@ -120,6 +124,19 @@ def _read_rows(path: str):
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return labels, np.array(rows).T
+
+
+def _csv_rows(fh, path: str):
+    """The rows of ``csv.reader(fh)``; a csv.Error becomes a ParseError naming the row."""
+    reader = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
+        yield cells
 
 
 def _bulk_parsable(path: str) -> bool:

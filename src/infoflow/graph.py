@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,8 +23,9 @@ from .stats import TimeSeriesPanel
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class GraphNode:
+# The records are named tuples rather than frozen dataclasses: building one
+# costs ~0.3 us instead of ~1.4 us, and build_graph makes one per edge.
+class GraphNode(NamedTuple):
     label: str
     self_influence: float
     self_stderr: float
@@ -30,8 +33,7 @@ class GraphNode:
     noise_rate: float
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     source: str
     target: str
     T: float
@@ -66,20 +68,13 @@ class CausalGraph:
 def build_graph(matrix: FlowMatrix, panel: TimeSeriesPanel) -> CausalGraph:
     """Assemble a CausalGraph from an estimated flow matrix."""
     labels = panel.labels
-    nodes = tuple(
-        GraphNode(label=label, self_influence=a, self_stderr=se, is_self_loop=loop,
-                  noise_rate=noise)
-        for label, a, se, loop, noise in zip(
-            labels, matrix.self.tolist(), matrix.self_stderr.tolist(),
-            matrix.self_loop.tolist(), matrix.noise_rate.tolist())
-    )
+    nodes = tuple(map(GraphNode._make, zip(
+        labels, matrix.self.tolist(), matrix.self_stderr.tolist(),
+        matrix.self_loop.tolist(), matrix.noise_rate.tolist())))
     src, dst = np.nonzero(matrix.significant)
-    edges = tuple(
-        GraphEdge(source=labels[j], target=labels[i], T=t, stderr=se, p=p, tau=tau)
-        for j, i, t, se, p, tau in zip(
-            src.tolist(), dst.tolist(),
-            *(a[src, dst].tolist() for a in (matrix.T, matrix.stderr, matrix.p, matrix.tau)))
-    )
+    edges = tuple(map(GraphEdge._make, zip(
+        map(labels.__getitem__, src.tolist()), map(labels.__getitem__, dst.tolist()),
+        *(a[src, dst].tolist() for a in (matrix.T, matrix.stderr, matrix.p, matrix.tau)))))
     rows = matrix.T.tolist()
     for i, row in enumerate(rows):
         row[i] = None
@@ -113,13 +108,18 @@ def reconstruct(
     return build_graph(matrix, panel)
 
 
-_DOT_ID = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _dot_quoted(text: str) -> str:
+    """A DOT double-quoted string: backslashes doubled, then quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _dot_id(label: str) -> str:
-    if _DOT_ID.match(label):
+    if _DOT_ID.fullmatch(label):
         return label
-    return '"' + label.replace('"', r"\"") + '"'
+    return _dot_quoted(label)
 
 
 def to_dot(graph: CausalGraph) -> str:
@@ -132,7 +132,7 @@ def to_dot(graph: CausalGraph) -> str:
     """
     lines = ["digraph causal {"]
     for node in graph.nodes:
-        attrs = [f'label="{node.label}"']
+        attrs = [f"label={_dot_quoted(node.label)}"]
         if node.is_self_loop:
             attrs.append("peripheries=2")
         lines.append(f"  {_dot_id(node.label)} [{', '.join(attrs)}];")
@@ -145,41 +145,62 @@ def to_dot(graph: CausalGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The C encoder, which json.dumps uses only without an indent, formats the
+# scalars; strings never go through it (see to_json).
+_encode_scalars = json.JSONEncoder(separators=(",", ":")).encode
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _array(items: list, indent: str) -> str:
+    """JSON array text of ``items``, one per line at ``indent``, as ``indent=2`` lays it out."""
+    if not items:
+        return "[]"
+    return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[:-2]}]"
+
+
 def to_json(graph: CausalGraph) -> str:
-    """Serialize the full graph (metadata, nodes, flow matrix, edges)."""
-    doc = {
-        "meta": {
-            "d": len(graph.nodes),
-            "N": graph.n,
-            "dt": graph.dt,
-            "k": graph.k,
-            "alpha": graph.alpha,
-            "schema_version": SCHEMA_VERSION,
-        },
-        "nodes": [
-            {
-                "label": node.label,
-                "self_influence": node.self_influence,
-                "self_stderr": node.self_stderr,
-                "is_self_loop": node.is_self_loop,
-                "noise_rate": node.noise_rate,
-            }
-            for node in graph.nodes
-        ],
-        "flow_matrix": [list(row) for row in graph.flow_matrix],
-        "edges": [
-            {
-                "source": edge.source,
-                "target": edge.target,
-                "T": edge.T,
-                "stderr": edge.stderr,
-                "p": edge.p,
-                "tau": edge.tau,
-            }
-            for edge in graph.edges
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize the full graph (metadata, nodes, flow matrix, edges).
+
+    The text is ``json.dumps(doc, indent=2) + "\\n"`` of the document
+    ``{"meta": {...}, "nodes": [...], "flow_matrix": [...], "edges": [...]}``.
+    Every number, boolean and null is formatted by one call of the C
+    encoder and the pieces are spliced into that layout; labels are
+    quoted as ``ensure_ascii`` quotes them.
+    """
+    nodes, edges, rows = graph.nodes, graph.edges, graph.flow_matrix
+    scalars = [len(nodes), graph.n, graph.dt, graph.k, graph.alpha, SCHEMA_VERSION]
+    # node[1:] and edge[2:] are the numeric fields, in declaration order.
+    for node in nodes:
+        scalars += node[1:]
+    for row in rows:
+        scalars += row
+    for edge in edges:
+        scalars += edge[2:]
+    # Numbers and literals hold no comma, so there is one piece per scalar.
+    pieces = _encode_scalars(scalars)[1:-1].split(",")
+    if len(pieces) != len(scalars):
+        raise TypeError("graph values must be numbers, booleans or None")
+    it = iter(pieces)
+    d, n, dt, k, alpha, version = islice(it, 6)
+    node_items = [
+        f'{{\n      "label": {_quote(node.label)},\n      "self_influence": {a},\n'
+        f'      "self_stderr": {se},\n      "is_self_loop": {loop},\n'
+        f'      "noise_rate": {noise}\n    }}'
+        for node, (a, se, loop, noise) in zip(nodes, zip(it, it, it, it))
+    ]
+    row_items = [_array(list(islice(it, len(row))), "      ") for row in rows]
+    edge_items = [
+        f'{{\n      "source": {_quote(edge.source)},\n      "target": {_quote(edge.target)},\n'
+        f'      "T": {t},\n      "stderr": {se},\n      "p": {p},\n      "tau": {tau}\n    }}'
+        for edge, (t, se, p, tau) in zip(edges, zip(it, it, it, it))
+    ]
+    return (
+        f'{{\n  "meta": {{\n    "d": {d},\n    "N": {n},\n    "dt": {dt},\n'
+        f'    "k": {k},\n    "alpha": {alpha},\n    "schema_version": {version}\n  }},\n'
+        f'  "nodes": {_array(node_items, "    ")},\n'
+        f'  "flow_matrix": {_array(row_items, "    ")},\n'
+        f'  "edges": {_array(edge_items, "    ")}\n}}\n'
+    )
 
 
 def from_json(text: str) -> CausalGraph:

@@ -57,6 +57,10 @@ class TimeSeriesPanel:
         labels = tuple(self.labels) if self.labels else tuple(f"X{i + 1}" for i in range(d))
         if len(labels) != d:
             raise ValueError(f"{len(labels)} labels for {d} variables")
+        if len(set(labels)) != d:
+            seen = set()
+            duplicate = next(s for s in labels if s in seen or seen.add(s))
+            raise ValueError(f"duplicate label {duplicate!r}")
         object.__setattr__(self, "data", _frozen(data))
         object.__setattr__(self, "labels", labels)
 

@@ -6,15 +6,18 @@ information matrix from analytic second derivatives (no vanishing cross
 terms assumed), and ``cofactor_solution`` solves the normal equations by
 explicit cofactor expansion.  ``reference_flows`` runs the per-row path
 over a whole panel, one target at a time.  ``reference_rossler`` is the
-coupled-Rossler Heun integrator on float64 arrays.
+coupled-Rossler Heun integrator on float64 arrays.  ``reference_to_json``
+is the graph artifact as ``json.dumps(doc, indent=2)`` writes it.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from infoflow import DivergenceError, SingularCovarianceError, SingularInformationError
 from infoflow.estimator import gaussian_quantile
+from infoflow.graph import SCHEMA_VERSION
 from infoflow.stats import COND_LIMIT
 
 
@@ -180,3 +183,40 @@ def reference_rossler(spec, limit=1e6) -> np.ndarray:
             raise DivergenceError(f"Rossler trajectory diverged at step {n}")
         out[n] = s
     return out[spec.burn_in :].T
+
+
+def reference_to_json(graph) -> str:
+    """The JSON artifact of ``graph``, formatted by ``json.dumps(doc, indent=2)``."""
+    doc = {
+        "meta": {
+            "d": len(graph.nodes),
+            "N": graph.n,
+            "dt": graph.dt,
+            "k": graph.k,
+            "alpha": graph.alpha,
+            "schema_version": SCHEMA_VERSION,
+        },
+        "nodes": [
+            {
+                "label": node.label,
+                "self_influence": node.self_influence,
+                "self_stderr": node.self_stderr,
+                "is_self_loop": node.is_self_loop,
+                "noise_rate": node.noise_rate,
+            }
+            for node in graph.nodes
+        ],
+        "flow_matrix": [list(row) for row in graph.flow_matrix],
+        "edges": [
+            {
+                "source": edge.source,
+                "target": edge.target,
+                "T": edge.T,
+                "stderr": edge.stderr,
+                "p": edge.p,
+                "tau": edge.tau,
+            }
+            for edge in graph.edges
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -100,6 +100,9 @@ def csv_text(rows=ROWS, header="t,a,b", eol="\n"):
     return eol.join([header] + list(rows)) + eol
 
 
+# Longer than the csv module's default field size limit (131072).
+HUGE_CELL = 200_000
+
 # Inputs on which the bulk reader must defer to, or agree with, the
 # row-by-row reader: (id, file bytes).
 READER_CASES = [
@@ -121,6 +124,8 @@ READER_CASES = [
     ("two-columns", csv_text([r.rsplit(",", 1)[0] for r in ROWS], header="t,a").encode()),
     ("extra-cell", csv_text(ROWS[:3] + ["3,1.0,2.0,4.0"] + ROWS[4:]).encode()),
     ("extra-column", csv_text([r + ",1.0" for r in ROWS]).encode()),
+    ("huge-header-cell", csv_text(header="t,a," + "b" * HUGE_CELL).encode()),
+    ("huge-quoted-cell", csv_text(ROWS[:1] + [f'1,2.0,"{"0" * HUGE_CELL}"'] + ROWS[2:]).encode()),
 ]
 
 
@@ -154,6 +159,26 @@ class TestCsvReaderPaths:
         path = tmp_path / "p.csv"
         path.write_text(csv_text())
         assert _read_bulk(str(path)) is not None
+
+    @pytest.mark.parametrize("header,rows,row", [
+        ("t,a," + "b" * HUGE_CELL, ROWS, 1),
+        ("t,a,b", [f'0,1,"{"0" * HUGE_CELL}"'] + ROWS[1:], 2),
+    ], ids=["header", "data-row"])
+    def test_huge_cell_names_file_and_row(self, tmp_path, capsys, header, rows, row):
+        path = tmp_path / "huge.csv"
+        path.write_text(csv_text(rows, header=header))
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
+        assert code == 2
+        assert err == (f"error: {path}: row {row}: "
+                       f"field larger than field limit ({csv.field_size_limit()})\n")
+
+    def test_duplicate_label_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text(csv_text([f"{i},{i % 3},{i * i % 7},{i % 5}" for i in range(30)],
+                                 header="t,a,a,b"))
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
+        assert code == 2
+        assert err == f"error: {path}: duplicate label 'a'\n"
 
     @pytest.mark.parametrize("offset_rows", [1, 3000])
     def test_non_utf8_names_file_and_byte(self, tmp_path, capsys, offset_rows):

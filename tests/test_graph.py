@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from infoflow import (
     CausalGraph,
@@ -12,6 +14,8 @@ from infoflow import (
     to_dot,
     to_json,
 )
+
+from oracles import reference_to_json
 
 
 def edge_index_set(graph):
@@ -131,10 +135,81 @@ class TestDot:
                         alpha=0.9, k=1, dt=1.0, n=10)
         assert '"rate 1"' in to_dot(g)
 
+    def test_escaping_of_quotes_backslashes_and_newlines(self):
+        nodes = tuple(
+            GraphNode(label=label, self_influence=0.0, self_stderr=1.0,
+                      is_self_loop=False, noise_rate=0.1)
+            for label in ('q"d', "b\\", "c\n")
+        )
+        edge = GraphEdge(source='q"d', target="b\\", T=0.5, stderr=0.1, p=0.0, tau=0.25)
+        flow_matrix = ((None, 0.5, 0.0), (0.0, None, 0.0), (0.0, 0.0, None))
+        g = CausalGraph(nodes=nodes, edges=(edge,), flow_matrix=flow_matrix,
+                        alpha=0.9, k=1, dt=1.0, n=10)
+        assert to_dot(g) == (
+            "digraph causal {\n"
+            r'  "q\"d" [label="q\"d"];' "\n"
+            r'  "b\\" [label="b\\"];' "\n"
+            '  "c\n" [label="c\n"];\n'
+            r'  "q\"d" -> "b\\" [label="0.500 (25.0%)"];' "\n"
+            "}\n"
+        )
+
+
+class TestRecords:
+    def test_immutable_keyword_built_values(self):
+        node = GraphNode(label="A", self_influence=-1.0, self_stderr=0.1,
+                         is_self_loop=True, noise_rate=0.5)
+        edge = GraphEdge(source="A", target="B", T=0.19, stderr=0.003, p=0.0, tau=0.132)
+        for record, field in ((node, "label"), (node, "noise_rate"), (edge, "T"),
+                              (edge, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 1.0)
+        assert node == GraphNode("A", -1.0, 0.1, True, 0.5)
+        assert edge == GraphEdge("A", "B", 0.19, 0.003, 0.0, 0.132)
+        assert node != GraphNode("A", -1.0, 0.1, True, 0.6)
+        assert hash(edge) == hash(GraphEdge("A", "B", 0.19, 0.003, 0.0, 0.132))
+        assert (node.label, edge.source, edge.tau) == ("A", "A", 0.132)
+
+
+# Labels with JSON escapes, commas and non-ASCII text; values of every
+# scalar type the artifact carries, with the floats JSON spells specially.
+label_text = (st_.text(st_.sampled_from('ab,"\\ \n\t\x00\x1f\x7fé€😀'), max_size=6)
+              | st_.text(max_size=4))
+SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308, 1e300)
+
+
+def scalars(finite):
+    floats = st_.floats(allow_nan=not finite, allow_infinity=not finite)
+    special = [v for v in SPECIAL_FLOATS if not finite or np.isfinite(v)]
+    return floats | st_.sampled_from(special) | st_.integers() | st_.booleans()
+
+
+@st_.composite
+def causal_graphs(draw, finite=False):
+    value = scalars(finite)
+    d = draw(st_.integers(0, 6))
+    labels = draw(st_.lists(label_text, min_size=d, max_size=d))
+    nodes = tuple(GraphNode(label, *draw(st_.tuples(value, value, value, value)))
+                  for label in labels)
+    flow_matrix = tuple(tuple(None if j == i else draw(value) for i in range(d))
+                        for j in range(d))
+    pairs = [(j, i) for j in range(d) for i in range(d) if j != i]
+    kind = draw(st_.sampled_from(("empty", "full", "some")))
+    if kind == "some":
+        pairs = [p for p in pairs if draw(st_.booleans())]
+    elif kind == "empty":
+        pairs = []
+    edges = tuple(GraphEdge(labels[j], labels[i], *draw(st_.tuples(value, value, value, value)))
+                  for j, i in pairs)
+    return CausalGraph(nodes=nodes, edges=edges, flow_matrix=flow_matrix,
+                       alpha=draw(value), k=draw(st_.integers()), dt=draw(value),
+                       n=draw(st_.integers(0)))
+
 
 class TestJson:
     def test_round_trip_identity(self, var6_b1_panel):
         graph = reconstruct(var6_b1_panel)
+        assert to_json(graph) == reference_to_json(graph)
         assert from_json(to_json(graph)) == graph
 
     def test_metadata_recorded(self, var6_b1_panel):
@@ -163,6 +238,23 @@ class TestJson:
                     continue
                 expected = matrix.significant[j, i]
                 assert ((labels[j], labels[i]) in in_graph) == expected
+
+    @given(causal_graphs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_text_as_json_dumps(self, graph):
+        assert to_json(graph) == reference_to_json(graph)
+
+    @given(causal_graphs(finite=True))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_identity_of_any_finite_graph(self, graph):
+        assert from_json(to_json(graph)) == graph
+
+    def test_string_value_rejected(self):
+        node = GraphNode("A", "1,2", 0.1, True, 0.5)
+        graph = CausalGraph(nodes=(node,), edges=(), flow_matrix=((None,),),
+                            alpha=0.9, k=1, dt=1.0, n=10)
+        with pytest.raises(TypeError, match="numbers, booleans or None"):
+            to_json(graph)
 
     def test_unsupported_schema_version(self):
         text = to_json(tiny_graph()).replace('"schema_version": 1', '"schema_version": 99')

@@ -40,6 +40,11 @@ class TestPanelValidation:
         with pytest.raises(ValueError):
             p.data[0, 0] = 99.0
 
+    def test_rejects_duplicate_labels_naming_the_first(self):
+        data = np.arange(28.0).reshape(4, 7) ** 2
+        with pytest.raises(ValueError, match="duplicate label 'b'"):
+            TimeSeriesPanel(data=data, labels=("a", "b", "b", "a"))
+
 
 class TestDeriveSeries:
     def test_linear_ramp_has_constant_slope(self):
