@@ -28,7 +28,6 @@ from .simgen import (
     VAR6_EDGES,
     RosslerSpec,
     VarSpec,
-    oscillator_panel,
     preset_panel,
     simulate_rossler,
     simulate_var,

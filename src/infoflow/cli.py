@@ -21,7 +21,7 @@ import csv
 import itertools
 import math
 import sys
-import warnings
+from array import array
 
 import numpy as np
 
@@ -32,20 +32,27 @@ from .simgen import SWEEP_PAIRS, RosslerSpec, preset_panel, sweep_epsilon
 from .stats import TimeSeriesPanel
 
 
+# Records per block, read or written: bounds the Python objects alive at once.
+BLOCK_ROWS = 1024
+
+
 def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     """Read a panel from CSV: one header row, first column a time index.
 
     The time index column is ignored for estimation (series must be
     equi-spaced; dt comes from the caller).  Column order defines the
-    variable indices.  The file must be UTF-8 text.
+    variable indices.  The file must be UTF-8 text, and every other cell
+    must be one that ``float()`` reads as a finite number.
 
-    The body is parsed in bulk; any file the bulk parser rejects, or
-    whose values it cannot accept as they are, is read again row by row,
-    which decides what is valid and names the offending row and column.
+    Records are read in one pass, BLOCK_ROWS at a time, and the value
+    cells of each block are cast to float64 at once.
     """
     try:
-        parsed = _read_bulk(path)
-        labels, data = parsed if parsed is not None else _read_rows(path)
+        with open(path, "rb") as fh:
+            fh.read().decode("utf-8")
+        labels, data = _read_records(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
     try:
@@ -54,37 +61,8 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-# Bytes that np.loadtxt strips as whitespace around a number but float()
-# rejects (the ASCII information separators).
-_LOADTXT_ONLY_SPACES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _read_bulk(path: str):
-    """(labels, data) parsed with ``np.loadtxt``, or None to defer to ``_read_rows``."""
-    if not _bulk_parsable(path):
-        return None
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh), None)
-        except csv.Error:
-            return None
-        if header is None or len(header) < 3:
-            return None
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported by _read_rows as "no data rows"
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    values = table[:, 1:]
-    if table.shape[0] == 0 or table.shape[1] != len(header) or not np.isfinite(values).all():
-        return None
-    return tuple(name.strip() for name in header[1:]), values.T
-
-
-def _read_rows(path: str):
-    """(labels, data) parsed one row at a time, raising ParseError on bad input."""
+def _read_records(path: str):
+    """(labels, data) of a UTF-8 CSV panel, raising ParseError at its first defect."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv_rows(fh, path)
         try:
@@ -96,34 +74,63 @@ def _read_rows(path: str):
                 f"{path}: need a time column plus at least 2 variable columns, "
                 f"got {len(header)} columns"
             )
-        labels = tuple(name.strip() for name in header[1:])
-        rows = []
-        for lineno, cells in enumerate(reader, start=2):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise ParseError(
-                    f"{path}: row {lineno} has {len(cells)} cells, "
-                    f"expected {len(header)}"
-                )
-            values = []
-            for col, cell in enumerate(cells[1:], start=2):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {lineno}, column {col}: "
-                        f"non-numeric cell {cell.strip()!r}"
-                    ) from None
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {lineno}, column {col}: non-finite value"
-                    )
-                values.append(value)
-            rows.append(values)
-    if not rows:
+        d = len(header) - 1
+        values = array("d")
+        for first in itertools.count(2, BLOCK_ROWS):
+            records, error = [], None
+            try:
+                records.extend(itertools.islice(reader, BLOCK_ROWS))
+            except ParseError as exc:  # raised once the records before it pass
+                error = exc
+            values.frombytes(_block_values(path, records, first, d))
+            if error is not None:
+                raise error
+            if len(records) < BLOCK_ROWS:
+                break
+    if not values:
         raise ParseError(f"{path}: no data rows")
-    return labels, np.array(rows).T
+    labels = tuple(name.strip() for name in header[1:])
+    return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, d).T
+
+
+def _block_values(path: str, records, first: int, d: int) -> bytes:
+    """The d value cells of each non-blank record as float64 bytes, row after row.
+
+    ``first`` is the record number of ``records[0]``.  A block that does
+    not cast to a finite (rows, d) array is walked record by record, and
+    the ParseError names its first bad record.
+    """
+    rows = [cells[1:] for cells in records if cells]
+    try:
+        block = np.array(rows, dtype=float)
+    except ValueError:
+        block = None
+    if block is not None and block.shape == (len(rows), d) and np.isfinite(block).all():
+        return block.tobytes()
+    checked = []
+    for lineno, cells in enumerate(records, start=first):
+        if not cells:
+            continue
+        if len(cells) != d + 1:
+            raise ParseError(
+                f"{path}: row {lineno} has {len(cells)} cells, expected {d + 1}"
+            )
+        values = []
+        for col, cell in enumerate(cells[1:], start=2):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}: row {lineno}, column {col}: "
+                    f"non-numeric cell {cell.strip()!r}"
+                ) from None
+            if not math.isfinite(value):
+                raise ParseError(
+                    f"{path}: row {lineno}, column {col}: non-finite value"
+                )
+            values.append(value)
+        checked.append(values)
+    return np.array(checked).tobytes()
 
 
 def _csv_rows(fh, path: str):
@@ -139,24 +146,6 @@ def _csv_rows(fh, path: str):
         yield cells
 
 
-def _bulk_parsable(path: str) -> bool:
-    """Whether ``path`` is free of bytes that np.loadtxt and float() read differently.
-
-    Raises ParseError, naming the first bad byte, if the file is not UTF-8.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
-    return not any(space in raw for space in _LOADTXT_ONLY_SPACES)
-
-
-# Rows per write in write_csv_panel: bounds the Python floats alive at once.
-WRITE_BLOCK_ROWS = 4096
-
-
 def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
     """Write a panel as CSV with a time-index column and label header.
 
@@ -165,8 +154,8 @@ def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
     """
     csv.writer(fh, lineterminator="\n").writerow(["t"] + list(panel.labels))
     rows = panel.data.T
-    for start in range(0, panel.n, WRITE_BLOCK_ROWS):
-        block = rows[start : start + WRITE_BLOCK_ROWS].tolist()
+    for start in range(0, panel.n, BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS].tolist()
         fh.write("".join(
             f"{n},{','.join(map(repr, row))}\n"
             for n, row in enumerate(block, start=start)

@@ -149,10 +149,13 @@ def estimate_flows(
     A covariance matrix with condition number above COND_LIMIT raises
     SingularCovarianceError.  ``ridge`` > 0 adds ridge * I to C in the
     coefficient solve; standard errors still need the unregularized C to
-    be invertible (see the module docstring).
+    be invertible (see the module docstring).  ``alpha`` must lie in
+    (0, 1) and ``ridge`` must be finite.
     """
-    if not ridge >= 0.0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     dot = derive_series(panel, k)
     st = compute_statistics(panel, dot)
     C, n, dt, labels = st.C, st.n_used, panel.dt, panel.labels
@@ -186,14 +189,17 @@ def estimate_flows(
         )
 
     CinvA = A @ Cinv  # row i is (C^-1 a_i)^T
-    den = 1.0 - 2.0 * dt * ridge**2 * np.einsum("ij,ij->i", A, CinvA) / g
+    # The rank-one terms are formed from ridge * a_i and ridge * C^-1 a_i,
+    # which stay finite where ridge**2 would overflow.
+    ridge_A, ridge_CinvA = ridge * A, ridge * CinvA
+    den = 1.0 - 2.0 * dt * np.einsum("ij,ij->i", ridge_A, ridge_CinvA) / g
     bad = np.flatnonzero(~(den > 0.0))
     if bad.size:
         raise SingularInformationError(
             f"target {labels[bad[0]]!r}: information matrix at the ridge "
             "estimate is not positive definite"
         )
-    var = (np.outer(g, np.diag(Cinv)) / dt + 2.0 * (ridge * CinvA) ** 2 / den[:, None]) / n
+    var = (np.outer(g, np.diag(Cinv)) / dt + 2.0 * ridge_CinvA**2 / den[:, None]) / n
     bad = np.flatnonzero(~np.all(var > 0.0, axis=1))
     if bad.size:
         raise SingularInformationError(

@@ -10,7 +10,8 @@ Two reference systems are built in:
 
 Randomness flows from numpy's seeded PCG64 generator (normal variates
 via the ziggurat transform), so identical specs produce byte-identical
-panels on any platform.
+panels on a given numpy/BLAS build (the VAR step's ``A @ x`` sums in the
+order the BLAS kernel chooses).
 """
 
 from __future__ import annotations
@@ -175,16 +176,6 @@ def simulate_rossler(spec: RosslerSpec) -> TimeSeriesPanel:
     data = np.frombuffer(out, dtype=np.float64).reshape(spec.N_total, 9)
     return TimeSeriesPanel(
         data=data[spec.burn_in :].T, dt=spec.dt, labels=ROSSLER_LABELS
-    )
-
-
-def oscillator_panel(panel: TimeSeriesPanel) -> TimeSeriesPanel:
-    """Select the representative rows (x1, y1, z1) from a 9-row panel."""
-    rows = list(ROSSLER_OSCILLATOR_ROWS)
-    return TimeSeriesPanel(
-        data=panel.data[rows],
-        dt=panel.dt,
-        labels=tuple(panel.labels[r] for r in rows),
     )
 
 

@@ -11,6 +11,7 @@ functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,8 @@ class TimeSeriesPanel:
             raise ValueError("panel needs at least one variable row")
         if n < d + 3:
             raise ValueError(f"need N >= d + 3 samples, got N={n} for d={d}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(data)):
             raise ValueError("panel contains non-finite values")
         labels = tuple(self.labels) if self.labels else tuple(f"X{i + 1}" for i in range(d))

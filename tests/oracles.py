@@ -8,14 +8,24 @@ explicit cofactor expansion.  ``reference_flows`` runs the per-row path
 over a whole panel, one target at a time.  ``reference_rossler`` is the
 coupled-Rossler Heun integrator on float64 arrays.  ``reference_to_json``
 is the graph artifact as ``json.dumps(doc, indent=2)`` writes it.
+``reference_read_rows`` is the row-at-a-time CSV panel reader whose
+acceptance rule and messages ``cli.read_csv_panel`` must reproduce.
 """
 
+import csv
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from infoflow import DivergenceError, SingularCovarianceError, SingularInformationError
+from infoflow import (
+    DivergenceError,
+    ParseError,
+    SingularCovarianceError,
+    SingularInformationError,
+)
 from infoflow.estimator import gaussian_quantile
 from infoflow.graph import SCHEMA_VERSION
 from infoflow.stats import COND_LIMIT
@@ -220,3 +230,59 @@ def reference_to_json(graph) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_read_rows(path: str):
+    """(labels, data) parsed one row at a time, raising ParseError on bad input."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = _csv_rows(fh, path)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if len(header) < 3:
+            raise ParseError(
+                f"{path}: need a time column plus at least 2 variable columns, "
+                f"got {len(header)} columns"
+            )
+        labels = tuple(name.strip() for name in header[1:])
+        rows = []
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ParseError(
+                    f"{path}: row {lineno} has {len(cells)} cells, "
+                    f"expected {len(header)}"
+                )
+            values = []
+            for col, cell in enumerate(cells[1:], start=2):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: "
+                        f"non-numeric cell {cell.strip()!r}"
+                    ) from None
+                if not math.isfinite(value):
+                    raise ParseError(
+                        f"{path}: row {lineno}, column {col}: non-finite value"
+                    )
+                values.append(value)
+            rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    return labels, np.array(rows).T
+
+
+def _csv_rows(fh, path: str):
+    """The rows of ``csv.reader(fh)``; a csv.Error becomes a ParseError naming the row."""
+    reader = csv.reader(fh)
+    for lineno in itertools.count(1):
+        try:
+            cells = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row {lineno}: {exc}") from None
+        yield cells

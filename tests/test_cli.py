@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
 
 from infoflow import ParseError, TimeSeriesPanel
-from infoflow.cli import _read_bulk, _read_rows, main, read_csv_panel, write_csv_panel
+from infoflow.cli import BLOCK_ROWS, main, read_csv_panel, write_csv_panel
+from oracles import reference_read_rows
 
 
 def run(capsys, *argv):
@@ -103,8 +105,22 @@ def csv_text(rows=ROWS, header="t,a,b", eol="\n"):
 # Longer than the csv module's default field size limit (131072).
 HUGE_CELL = 200_000
 
-# Inputs on which the bulk reader must defer to, or agree with, the
-# row-by-row reader: (id, file bytes).
+def block_rows(n, replace=None):
+    """n valid data rows, with ``replace[i]`` in place of data row i."""
+    rows = [f"{i},{i}.5,{(i * 7) % 11}" for i in range(n)]
+    for i, row in (replace or {}).items():
+        rows[i] = row
+    return rows
+
+
+QUOTED_HUGE = f'1,"{"0" * HUGE_CELL}"'
+# Data row 20 (record 22) holds a long unquoted number.
+LONG_NUMBER = {20: "20,1," + "0" * HUGE_CELL}
+SECOND_BLOCK = BLOCK_ROWS + 3
+
+
+# Inputs the one-pass reader must read exactly as the row-at-a-time
+# reference does: (id, file bytes).
 READER_CASES = [
     ("plain", csv_text().encode()),
     ("quoted-cells", csv_text([f'"{i}","{i}.5","-{i}"' for i in range(5)]).encode()),
@@ -126,6 +142,29 @@ READER_CASES = [
     ("extra-column", csv_text([r + ",1.0" for r in ROWS]).encode()),
     ("huge-header-cell", csv_text(header="t,a," + "b" * HUGE_CELL).encode()),
     ("huge-quoted-cell", csv_text(ROWS[:1] + [f'1,2.0,"{"0" * HUGE_CELL}"'] + ROWS[2:]).encode()),
+    ("huge-unquoted-number", csv_text(block_rows(25, LONG_NUMBER)).encode()),
+    ("huge-unquoted-number-quoted-time",
+     csv_text(block_rows(25, {0: '"0",0.5,0', **LONG_NUMBER})).encode()),
+    ("single-cell-rows", csv_text([str(i) for i in range(5)]).encode()),
+    ("blank-run-longer-than-block",
+     csv_text(ROWS[:2] + [""] * (BLOCK_ROWS + 5) + ROWS[2:]).encode()),
+    ("blank-lines-then-bad-cell",
+     csv_text(ROWS[:2] + ["", ""] + ["2,oops,1"] + ROWS[3:]).encode()),
+    ("blank-run-then-bad-cell",
+     csv_text(ROWS[:2] + [""] * (BLOCK_ROWS + 5) + ["2,1,oops"] + ROWS[3:]).encode()),
+    ("bad-cell-second-block",
+     csv_text(block_rows(BLOCK_ROWS + 20, {SECOND_BLOCK: "x,1.0,oops"})).encode()),
+    ("ragged-row-second-block",
+     csv_text(block_rows(BLOCK_ROWS + 20, {SECOND_BLOCK: "x,1.0"})).encode()),
+    ("minus-inf-second-block",
+     csv_text(block_rows(BLOCK_ROWS + 20, {SECOND_BLOCK: "x,-inf,1"})).encode()),
+    ("bad-cell-then-huge-quoted-cell",
+     csv_text(block_rows(20, {5: "5,oops,1", 9: "9," + QUOTED_HUGE})).encode()),
+    ("huge-quoted-cell-then-bad-cell",
+     csv_text(block_rows(20, {5: "5," + QUOTED_HUGE, 9: "9,oops,1"})).encode()),
+    ("one-short-of-a-block", csv_text(block_rows(BLOCK_ROWS - 1)).encode()),
+    ("one-block", csv_text(block_rows(BLOCK_ROWS)).encode()),
+    ("two-blocks", csv_text(block_rows(2 * BLOCK_ROWS)).encode()),
 ]
 
 
@@ -143,6 +182,35 @@ def read_outcome(read, path):
     return labels, np.asarray(data).view(np.uint64).tolist()
 
 
+def cast_outcome(cast, cell):
+    """The bits of ``cast(cell)`` as a float64, or None if it raises ValueError."""
+    try:
+        return np.asarray(cast(cell), dtype=float).reshape(()).view(np.uint64).item()
+    except ValueError:
+        return None
+
+
+@st_.composite
+def numeric_text(draw):
+    """Float and integer text with signs, exponents, ``_``, foreign digits and padding."""
+    text = draw(st_.one_of(
+        st_.floats().map(repr),
+        st_.integers().map(str),
+        st_.sampled_from(["inf", "Infinity", "nan", "1_000", "0x10", "1e", ".", "1.", ".5"]),
+    ))
+    if draw(st_.booleans()):
+        at = draw(st_.integers(0, len(text)))
+        text = text[:at] + "_" + text[at:]
+    text = (draw(st_.sampled_from(["", "+", "-"])) + text
+            + draw(st_.sampled_from(["", "e5", "E-7", "e+400", "e-400", "e_1"])))
+    # ASCII, Arabic-Indic and fullwidth digits
+    zero = draw(st_.sampled_from([0x30, 0x660, 0xFF10]))
+    text = text.translate({0x30 + i: zero + i for i in range(10)})
+    pad = st_.sampled_from(["", " ", "\t", "\n", "\x0b", "\x1c", "\x1f", "\xa0", "\u2003",
+                            "\u3000"])
+    return draw(pad) + text + draw(pad)
+
+
 class TestCsvReaderPaths:
     @pytest.mark.parametrize("content", [c for _, c in READER_CASES],
                              ids=[name for name, _ in READER_CASES])
@@ -150,20 +218,21 @@ class TestCsvReaderPaths:
         path = str(tmp_path / "p.csv")
         with open(path, "wb") as fh:
             fh.write(content)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = read_outcome(read_panel, path)
-        assert got == read_outcome(_read_rows, path)
+        assert read_outcome(read_panel, path) == read_outcome(reference_read_rows, path)
 
-    def test_plain_file_is_read_in_bulk(self, tmp_path):
-        path = tmp_path / "p.csv"
-        path.write_text(csv_text())
-        assert _read_bulk(str(path)) is not None
+    @given(st_.one_of(st_.text(), numeric_text()))
+    @settings(max_examples=500, deadline=None)
+    def test_array_cast_reads_cells_as_float_does(self, cell):
+        # The reader casts whole blocks with numpy and accepts a file exactly
+        # when float() accepts every value cell: the two casts must agree.
+        as_array = cast_outcome(lambda c: np.array([[c]], dtype=float), cell)
+        assert as_array == cast_outcome(float, cell)
 
     @pytest.mark.parametrize("header,rows,row", [
         ("t,a," + "b" * HUGE_CELL, ROWS, 1),
         ("t,a,b", [f'0,1,"{"0" * HUGE_CELL}"'] + ROWS[1:], 2),
-    ], ids=["header", "data-row"])
+        ("t,a,b", block_rows(25, LONG_NUMBER), 22),
+    ], ids=["header", "data-row", "unquoted-data-row"])
     def test_huge_cell_names_file_and_row(self, tmp_path, capsys, header, rows, row):
         path = tmp_path / "huge.csv"
         path.write_text(csv_text(rows, header=header))
@@ -284,6 +353,39 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--csv", str(path), "--ridge", "1e-3")
         assert code == 5
         assert "error:" in err
+
+    @pytest.mark.parametrize("alpha", ["-0.5", "0", "1", "1.5"])
+    def test_alpha_outside_unit_interval_exit_code(self, capsys, alpha):
+        code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short",
+                           "--alpha", alpha)
+        assert code == 2
+        assert err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
+
+    @pytest.fixture
+    def var6_csv(self, tmp_path, capsys):
+        path = tmp_path / "var6.csv"
+        run(capsys, "generate", "var6-b100-short", "--out", str(path))
+        return path
+
+    @pytest.mark.parametrize("dt", ["inf", "nan", "0"])
+    def test_invalid_dt_exit_code(self, var6_csv, capsys, dt):
+        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--dt", dt)
+        assert code == 2
+        assert err == f"error: {var6_csv}: dt must be positive and finite, got {float(dt)}\n"
+
+    @pytest.mark.parametrize("ridge", ["inf", "nan", "-1"])
+    def test_invalid_ridge_exit_code(self, var6_csv, capsys, ridge):
+        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--ridge", ridge)
+        assert code == 2
+        assert err == f"error: ridge must be finite and >= 0, got {float(ridge)}\n"
+
+    @pytest.mark.parametrize("ridge", ["1e200", "1e308"])
+    def test_ridge_too_large_to_square_is_singular_information(self, var6_csv, capsys, ridge):
+        # ridge**2 overflows; the rank-one terms must not
+        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--ridge", ridge)
+        assert code == 5
+        assert err == ("error: target 'X1': information matrix at the ridge "
+                       "estimate is not positive definite\n")
 
     def test_bad_k_requires_override(self, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short",

@@ -4,10 +4,10 @@ import pytest
 from infoflow import (
     DivergenceError,
     ROSSLER_LABELS,
+    ROSSLER_OSCILLATOR_ROWS,
     RosslerSpec,
     VAR6_A,
     VarSpec,
-    oscillator_panel,
     preset_panel,
     simulate_rossler,
     simulate_var,
@@ -135,9 +135,9 @@ class TestSimulateRossler:
 
     def test_oscillator_panel_selects_first_components(self):
         panel = simulate_rossler(RosslerSpec(seed=0, N_total=6000, burn_in=1000))
-        osc = oscillator_panel(panel)
-        assert osc.labels == ("x1", "y1", "z1")
-        np.testing.assert_array_equal(osc.data[1], panel.data[3])
+        rows = ROSSLER_OSCILLATOR_ROWS
+        assert tuple(panel.labels[r] for r in rows) == ("x1", "y1", "z1")
+        np.testing.assert_array_equal(panel.data[list(rows)][1], panel.data[3])
 
 
 class TestSweep:
