@@ -33,6 +33,6 @@ from .simgen import (
     simulate_var,
     sweep_epsilon,
 )
-from .stats import StatisticsBundle, TimeSeriesPanel, compute_statistics, derive_series
+from .stats import TimeSeriesPanel, derive_series
 
 __version__ = "0.1.0"

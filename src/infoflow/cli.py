@@ -16,6 +16,7 @@ nonzero code (see errors.py).
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import itertools
@@ -34,6 +35,8 @@ from .stats import TimeSeriesPanel
 
 # Records per block, read or written: bounds the Python objects alive at once.
 BLOCK_ROWS = 1024
+# Bytes per chunk of the UTF-8 check.
+UTF8_CHUNK_BYTES = 1 << 16
 
 
 def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
@@ -48,17 +51,38 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     cells of each block are cast to float64 at once.
     """
     try:
-        with open(path, "rb") as fh:
-            fh.read().decode("utf-8")
+        _check_utf8(path)
         labels, data = _read_records(path)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
     try:
         return TimeSeriesPanel(data=data, dt=dt, labels=labels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _check_utf8(path: str) -> None:
+    """Raise ParseError naming the file offset of the first byte that is not UTF-8.
+
+    The file is decoded in UTF8_CHUNK_BYTES chunks and the text discarded.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # file offset of the next chunk
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(UTF8_CHUNK_BYTES)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.start counts from the bytes the decoder held back
+                # from the chunks before this one.
+                held = len(decoder.getstate()[0])
+                raise ParseError(
+                    f"{path}: not UTF-8 text (byte {offset - held + exc.start})"
+                ) from None
+            if not chunk:
+                return
+            offset += len(chunk)
 
 
 def _read_records(path: str):
@@ -273,6 +297,10 @@ def cmd_generate(args) -> int:
 def cmd_sweep(args) -> int:
     if args.steps < 1:
         raise ValueError("need at least one grid point")
+    if not (math.isfinite(args.eps_from) and math.isfinite(args.eps_to)):
+        raise ValueError(
+            f"--eps-from and --eps-to must be finite, got {args.eps_from} and {args.eps_to}"
+        )
     if args.steps == 1:
         grid = [args.eps_from]
     else:

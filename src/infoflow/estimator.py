@@ -7,10 +7,13 @@ log density is
 
     l_n = -0.5 log(2 pi b_i^2 dt) - dt R_in^2 / (2 b_i^2).
 
-Its maximizer solves the normal equations C a_i = Cd[:, i], and then
-f_i = mean(dX_i/dt) - a_i . mean(X) and g_i = b_i^2 = sum_n R_in^2 dt / n.
-All rows share C, so one solve with the d right-hand sides Cd gives the
-coefficient matrix A (A[i, j] = a_ij) of the whole panel.
+Its maximizer solves the normal equations C a_i = Cd[:, i], where, over
+the n = N - k aligned samples, xc and dc are X and dX/dt centred on their
+row means, C = xc xc^T / n and Cd = xc dc^T / n.  All rows share C, so
+one solve with the d right-hand sides Cd gives the coefficient matrix A
+(A[i, j] = a_ij) of the whole panel.  The intercept is
+f_i = mean(dX_i/dt) - a_i . mean(X), so the residuals are the centred ones,
+R = dc - A xc, and g_i = b_i^2 = sum_n R_in^2 dt / n.
 
 The flow rate from X_j to X_i is ``T[j -> i] = a_ij C_ij / C_ii`` in nats
 per unit time, a node's influence on itself is a_ii, and the entropy
@@ -58,9 +61,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import SingularCovarianceError, SingularInformationError
+from .errors import DegenerateInputError, SingularCovarianceError, SingularInformationError
 from .normalize import normalize_flows
-from .stats import COND_LIMIT, TimeSeriesPanel, compute_statistics, derive_series
+from .stats import COND_LIMIT, TimeSeriesPanel, derive_series
 
 DEFAULT_ALPHA = 0.90
 
@@ -109,8 +112,8 @@ class FlowMatrix:
 
     Per-node arrays have length d: ``self`` (a_ii) with ``self_stderr``
     and its verdict ``self_loop``, ``noise_rate`` (g_i / 2 C_ii) and the
-    residual variance ``g``.  ``A`` (A[i, j] = a_ij) and ``f`` are the
-    fitted drift coefficients.  All arrays are read-only.
+    residual variance ``g``.  ``A`` (A[i, j] = a_ij) holds the fitted
+    drift coefficients.  All arrays are read-only.
     """
 
     T: np.ndarray
@@ -124,7 +127,6 @@ class FlowMatrix:
     noise_rate: np.ndarray
     g: np.ndarray
     A: np.ndarray
-    f: np.ndarray
     alpha: float
     k: int
 
@@ -146,7 +148,8 @@ def estimate_flows(
 ) -> FlowMatrix:
     """Estimate and test the full d x d flow matrix of a panel.
 
-    A covariance matrix with condition number above COND_LIMIT raises
+    A series with zero variance raises DegenerateInputError, and a
+    covariance matrix with condition number above COND_LIMIT raises
     SingularCovarianceError.  ``ridge`` > 0 adds ridge * I to C in the
     coefficient solve; standard errors still need the unregularized C to
     be invertible (see the module docstring).  ``alpha`` must lie in
@@ -156,9 +159,18 @@ def estimate_flows(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if not 0.0 <= ridge < math.inf:
         raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
-    dot = derive_series(panel, k)
-    st = compute_statistics(panel, dot)
-    C, n, dt, labels = st.C, st.n_used, panel.dt, panel.labels
+    # Three d x n arrays: the derived series, centred in place (dc), the
+    # centred panel columns (xc), and later the residuals.
+    dc = derive_series(panel, k)
+    n, dt, labels = dc.shape[1], panel.dt, panel.labels
+    x = panel.data[:, :n]
+    xc = x - x.mean(axis=1)[:, None]
+    dc -= dc.mean(axis=1)[:, None]
+    C = (xc @ xc.T) / n
+    Cd = (xc @ dc.T) / n
+    flat = np.flatnonzero(np.diag(C) <= 0.0)
+    if flat.size:
+        raise DegenerateInputError(f"variable {labels[flat[0]]!r} has zero variance")
 
     s = np.linalg.svd(C, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -173,13 +185,11 @@ def estimate_flows(
             "the ridge regularizes the coefficients, but their information "
             "matrix stays singular"
         )
-    A = np.linalg.solve(C + ridge * np.eye(panel.d), st.Cd).T
+    A = np.linalg.solve(C + ridge * np.eye(panel.d), Cd).T
     Cinv = np.linalg.inv(C)
 
-    f = st.dot_means - A @ st.means
-    R = A @ panel.data[:, :n]
-    np.subtract(dot, R, out=R)
-    R -= f[:, None]
+    R = A @ xc
+    np.subtract(dc, R, out=R)
     g = np.einsum("ij,ij->i", R, R) * dt / n
     zero = np.flatnonzero(~(g > 0.0))
     if zero.size:
@@ -227,7 +237,6 @@ def estimate_flows(
         noise_rate=noise,
         g=g,
         A=A,
-        f=f,
         alpha=alpha,
         k=k,
     )

@@ -16,6 +16,7 @@ order the BLAS kernel chooses).
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
@@ -83,6 +84,10 @@ class RosslerSpec:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        if not all(math.isfinite(w) for w in self.omega):
+            raise ValueError(f"omega must be finite, got {self.omega}")
         if not 0 <= self.burn_in < self.N_total:
             raise ValueError("need 0 <= burn_in < N_total")
 

@@ -1,5 +1,7 @@
 """Per-row reference implementations the closed-form estimator is checked against.
 
+``compute_statistics`` gives the reference sample moments (means, C and
+Cd over the N - k aligned samples) as a ``StatisticsBundle``.
 ``fit_row`` solves the normal equations of one target row, ``fisher_block``
 assembles and inverts that row's general (d+2)-square observed
 information matrix from analytic second derivatives (no vanishing cross
@@ -21,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from infoflow import (
+    DegenerateInputError,
     DivergenceError,
     ParseError,
     SingularCovarianceError,
@@ -29,6 +32,52 @@ from infoflow import (
 from infoflow.estimator import gaussian_quantile
 from infoflow.graph import SCHEMA_VERSION
 from infoflow.stats import COND_LIMIT
+
+
+def _frozen(a) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class StatisticsBundle:
+    """Sample moments over the N - k aligned samples.
+
+    ``C`` is the d x d covariance matrix of the (truncated) series;
+    ``Cd[j, i]`` is the covariance of X_j with the derived series of
+    X_i.  Divisor is the aligned sample count ``n_used``.
+    """
+
+    means: np.ndarray
+    dot_means: np.ndarray
+    C: np.ndarray
+    Cd: np.ndarray
+    n_used: int
+
+    def __post_init__(self):
+        for name in ("means", "dot_means", "C", "Cd"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+
+def compute_statistics(panel, derived) -> StatisticsBundle:
+    """Means and covariance matrices over the samples aligned with ``derived``."""
+    n_used = derived.shape[-1]
+    if derived.shape != (panel.d, n_used) or not 1 <= panel.n - n_used <= panel.n - 2:
+        raise ValueError("derived series does not match panel shape")
+    x = panel.data[:, :n_used]
+    means = x.mean(axis=1)
+    dot_means = derived.mean(axis=1)
+    xc = x - means[:, None]
+    dc = derived - dot_means[:, None]
+    C = (xc @ xc.T) / n_used
+    Cd = (xc @ dc.T) / n_used
+    flat = np.flatnonzero(np.diag(C) <= 0.0)
+    if flat.size:
+        raise DegenerateInputError(
+            f"variable {panel.labels[flat[0]]!r} has zero variance"
+        )
+    return StatisticsBundle(means=means, dot_means=dot_means, C=C, Cd=Cd, n_used=n_used)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from infoflow import ParseError, TimeSeriesPanel
-from infoflow.cli import BLOCK_ROWS, main, read_csv_panel, write_csv_panel
+from infoflow.cli import BLOCK_ROWS, UTF8_CHUNK_BYTES, main, read_csv_panel, write_csv_panel
+from infoflow.simgen import _var6_spec
 from oracles import reference_read_rows
 
 
@@ -45,6 +47,49 @@ class TestGenerate:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,x1,x2,x3,y1,y2,y3,z1,z2,z3"
         assert len(lines) == 1 + 40000
+
+    # CSV bytes recorded before panels were stored series-major.  The Rossler
+    # step is Python-float IEEE arithmetic, so its bytes hold on any platform.
+    @pytest.mark.parametrize("seed,sha256", [
+        (0, "5e5983c8e75e9cc6980e2e7e3391b47a39dde87bf85b452d9514fd675d67205e"),
+        (1, "38d42e066254e1fa6f0aab2fbc199a37331705372b008ffe69f744cacf3b8512"),
+        (2, "388105089765125c0bd8ebb5221962520b34382d40227825d63ac25bd3260eb9"),
+    ])
+    def test_rossler_csv_bytes_unchanged(self, tmp_path, capsys, seed, sha256):
+        out = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "generate", "rossler", "--seed", str(seed),
+                         "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    # The var6 values depend on the BLAS kernel's summation order (see
+    # simgen), so instead of a digest the CSV is checked against the same
+    # recurrence run here on a time-major buffer: same bits, same text.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_var6_csv_holds_the_time_major_trajectory(self, tmp_path, capsys, seed):
+        spec = _var6_spec(1.0, 10000, seed)
+        rng = np.random.default_rng(seed)
+        noise = spec.b_diag[None, :] * rng.standard_normal((spec.N + spec.burn_in, 6))
+        x = rng.standard_normal(6)
+        rows = np.empty_like(noise)
+        for n in range(len(rows)):
+            x = spec.alpha_vec + spec.A @ x + noise[n]
+            rows[n] = x
+        rows = rows[spec.burn_in:]
+        out = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "generate", "var6-b1", "--seed", str(seed),
+                         "--out", str(out))
+        assert code == 0
+        back = read_csv_panel(str(out))
+        np.testing.assert_array_equal(back.data.view(np.uint64), rows.T.view(np.uint64))
+        expected = "t,X1,X2,X3,X4,X5,X6\n" + "".join(
+            f"{n},{','.join(map(repr, row))}\n" for n, row in enumerate(rows.tolist()))
+        assert out.read_text() == expected
+
+    def test_non_finite_epsilon_exit_code(self, capsys):
+        code, _, err = run(capsys, "generate", "rossler", "--epsilon", "nan")
+        assert code == 2
+        assert err == "error: epsilon must be finite, got nan\n"
 
     def test_stdout_default(self, capsys):
         code, out, _ = run(capsys, "generate", "var6-b100-short")
@@ -258,6 +303,26 @@ class TestCsvReaderPaths:
         assert code == 2
         assert err == f"error: {path}: not UTF-8 text (byte {len(head) + 2})\n"
 
+    @pytest.mark.parametrize("cut", [1, 2], ids=["1+2", "2+1"])
+    def test_non_utf8_sequence_across_chunk_boundary(self, tmp_path, capsys, cut):
+        # A 3-byte sequence split by the chunk boundary, with its last byte
+        # replaced by "X": the decoder holds the start of the sequence back
+        # from the first chunk, and the error is at the sequence's first byte.
+        head = b"t,a,b\n" + b"0" * (UTF8_CHUNK_BYTES - 6 - cut)
+        path = tmp_path / "split.csv"
+        path.write_bytes(head + b"\xe2\x82\xac"[:cut] + b"X,1,2\n")
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
+        assert code == 2
+        assert err == f"error: {path}: not UTF-8 text (byte {len(head)})\n"
+
+    def test_non_utf8_sequence_cut_off_at_end_of_file(self, tmp_path, capsys):
+        head = csv_text([f"{i},{i}.5,1.0" for i in range(30)]).encode()
+        path = tmp_path / "cut.csv"
+        path.write_bytes(head + b"\xe2\x82")
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
+        assert code == 2
+        assert err == f"error: {path}: not UTF-8 text (byte {len(head)})\n"
+
 
 class TestCsvWriter:
     def test_bytes_match_csv_writer_reference(self):
@@ -387,6 +452,11 @@ class TestAnalyze:
         assert err == ("error: target 'X1': information matrix at the ridge "
                        "estimate is not positive definite\n")
 
+    def test_non_finite_epsilon_exit_code(self, capsys):
+        code, _, err = run(capsys, "analyze", "--preset", "rossler", "--epsilon", "nan")
+        assert code == 2
+        assert err == "error: epsilon must be finite, got nan\n"
+
     def test_bad_k_requires_override(self, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short",
                            "--k", "3")
@@ -425,6 +495,13 @@ class TestSweep:
                            "--steps", "0")
         assert code == 2
         assert "grid" in err
+
+    def test_non_finite_epsilon_exit_code(self, capsys):
+        # checked before linspace, which would warn on an infinite end point
+        code, _, err = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "inf",
+                           "--steps", "2")
+        assert code == 2
+        assert err == "error: --eps-from and --eps-to must be finite, got 0.0 and inf\n"
 
 
 class TestImport:

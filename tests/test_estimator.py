@@ -6,7 +6,6 @@ from hypothesis import strategies as st_
 from infoflow import (
     SingularInformationError,
     TimeSeriesPanel,
-    compute_statistics,
     derive_series,
     estimate_flows,
     normalize_flows,
@@ -14,7 +13,7 @@ from infoflow import (
 from infoflow.estimator import gaussian_quantile, significance, two_sided_p
 
 from conftest import random_walk_panel
-from oracles import fisher_block, fit_row, reference_flows
+from oracles import compute_statistics, fisher_block, fit_row, reference_flows
 
 
 def fitted(panel, k=1):
@@ -308,6 +307,37 @@ class TestClosedFormMatchesOracle:
         assert max_rel(m.noise_rate, ref["noise_rate"]) <= 1e-12
         np.testing.assert_array_equal(m.significant, ref["significant"])
         np.testing.assert_array_equal(m.self_loop, ref["self_loop"])
+
+
+def fit_outcome(panel, k, ridge):
+    """Every FlowMatrix array as bytes, or the error estimate_flows raised."""
+    try:
+        m = estimate_flows(panel, k=k, alpha=0.90, ridge=ridge)
+    except SingularInformationError as exc:
+        return type(exc), str(exc)
+    return {name: (v.dtype, v.shape, v.tobytes()) for name, v in vars(m).items()
+            if isinstance(v, np.ndarray)}
+
+
+class TestInputLayout:
+    @given(
+        seed=st_.integers(0, 2**32 - 1),
+        d=st_.integers(2, 8),
+        n=st_.integers(40, 300),
+        k=st_.sampled_from([1, 2]),
+        ridge=st_.one_of(st_.just(0.0), st_.floats(1e-3, 5.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_for_c_fortran_and_strided_data(self, seed, d, n, k, ridge):
+        data = random_walk_panel(np.random.default_rng(seed), d=d, n=n).data
+        copies = [
+            np.ascontiguousarray(data),
+            np.asfortranarray(data),
+            np.repeat(data, 3, axis=1)[:, 1::3],
+        ]
+        outcomes = [fit_outcome(TimeSeriesPanel(data=c), k, ridge) for c in copies]
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
 
 class TestSingularInformation:

@@ -122,10 +122,24 @@ class TestSimulateRossler:
         )
 
     def test_nan_in_any_component_diverges_at_first_step(self):
-        # NaN enters the second oscillator only; the state check must see it
-        spec = RosslerSpec(omega=(1.015, float("nan"), 0.95), N_total=100, burn_in=0)
+        # NaN enters the second oscillator only; the state check must see it.
+        # RosslerSpec rejects a NaN omega, so it is set after validation.
+        spec = RosslerSpec(N_total=100, burn_in=0)
+        object.__setattr__(spec, "omega", (1.015, float("nan"), 0.95))
         with pytest.raises(DivergenceError, match="at step 0 "):
             simulate_rossler(spec)
+
+    @pytest.mark.parametrize("kw", [
+        dict(epsilon=float("nan")),
+        dict(epsilon=float("inf")),
+        dict(epsilon=-float("inf")),
+        dict(omega=(1.015, float("nan"), 0.95)),
+        dict(omega=(1.015, 0.985, float("inf"))),
+    ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf"])
+    def test_non_finite_parameters_rejected(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RosslerSpec(**kw)
 
     def test_strong_coupling_synchronizes_slaves(self):
         panel = simulate_rossler(RosslerSpec(seed=0, epsilon=0.25))

@@ -3,15 +3,18 @@ import pytest
 
 from infoflow import (
     DegenerateInputError,
+    RosslerSpec,
     SingularCovarianceError,
     TimeSeriesPanel,
-    compute_statistics,
     derive_series,
     estimate_flows,
+    simulate_rossler,
+    simulate_var,
 )
+from infoflow.cli import read_csv_panel, write_csv_panel
 
-from conftest import random_walk_panel
-from oracles import cofactor_solution, fit_row
+from conftest import random_walk_panel, var6_spec
+from oracles import cofactor_solution, compute_statistics, fit_row
 
 
 def panel_from_rows(rows, dt=1.0):
@@ -44,6 +47,38 @@ class TestPanelValidation:
         data = np.arange(28.0).reshape(4, 7) ** 2
         with pytest.raises(ValueError, match="duplicate label 'b'"):
             TimeSeriesPanel(data=data, labels=("a", "b", "b", "a"))
+
+
+def assert_series_major(panel):
+    assert panel.data.flags.c_contiguous
+    assert not panel.data.flags.writeable
+
+
+class TestPanelLayout:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_own_c_contiguous_read_only_copy(self, rng, layout):
+        base = rng.standard_normal((3, 40))
+        data = {
+            "C": base.copy(),
+            "F": np.asfortranarray(base),
+            "strided": np.repeat(base, 2, axis=1)[:, ::2],
+        }[layout]
+        p = TimeSeriesPanel(data=data)
+        assert_series_major(p)
+        np.testing.assert_array_equal(p.data, base)
+        assert not np.shares_memory(p.data, data)
+
+    def test_simulate_var_panel(self):
+        assert_series_major(simulate_var(var6_spec(N=200)))
+
+    def test_simulate_rossler_panel(self):
+        assert_series_major(simulate_rossler(RosslerSpec(N_total=300, burn_in=100)))
+
+    def test_read_csv_panel(self, rng, tmp_path):
+        path = tmp_path / "p.csv"
+        with open(path, "w") as fh:
+            write_csv_panel(random_walk_panel(rng, d=3, n=50), fh)
+        assert_series_major(read_csv_panel(str(path)))
 
 
 class TestDeriveSeries:
@@ -107,6 +142,8 @@ class TestComputeStatistics:
         )
         with pytest.raises(DegenerateInputError, match="flat"):
             compute_statistics(p, derive_series(p, k=1))
+        with pytest.raises(DegenerateInputError, match="flat"):
+            estimate_flows(p)
 
     def test_iid_normal_off_diagonals_small(self):
         rng = np.random.default_rng(7)
@@ -130,7 +167,9 @@ class TestFitRow:
         x = (1.0 + 2.0 / 3.0) * np.exp(3.0 * t) - 2.0 / 3.0
         p = TimeSeriesPanel(data=x[None, :], dt=dt)
         m = estimate_flows(p)
-        assert m.f[0] == pytest.approx(2.0, rel=1e-3)
+        der = derive_series(p, k=1)
+        f_hat = fit_row(compute_statistics(p, der), p, der, 0).f_hat
+        assert f_hat == pytest.approx(2.0, rel=1e-3)
         assert m.A[0, 0] == pytest.approx(3.0, rel=1e-3)
         assert m.g[0] == pytest.approx(0.0, abs=1e-8)
 
@@ -165,7 +204,7 @@ class TestFitRow:
         st = compute_statistics(p, der)
         m = estimate_flows(p)
         x = p.data[:, : st.n_used]
-        resid = der[1] - m.f[1] - m.A[1] @ x
+        resid = der[1] - fit_row(st, p, der, 1).f_hat - m.A[1] @ x
         assert resid @ resid == pytest.approx(m.g[1] * st.n_used / p.dt, rel=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
