@@ -17,7 +17,6 @@ from .errors import (
 )
 from .estimator import DEFAULT_ALPHA, FlowMatrix, estimate_flows
 from .graph import CausalGraph, GraphEdge, GraphNode, from_json, reconstruct, to_dot, to_json
-from .normalize import NormalizedFlows, normalize_flows
 from .simgen import (
     ROSSLER_LABELS,
     ROSSLER_OSCILLATOR_ROWS,

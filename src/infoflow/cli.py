@@ -262,10 +262,14 @@ def _output(path: str | None):
 
 def cmd_analyze(args) -> int:
     if args.csv:
-        panel = read_csv_panel(args.csv, dt=args.dt)
+        if args.seed is not None or args.epsilon is not None:
+            raise ValueError("--seed and --epsilon apply to presets, not to --csv input")
+        panel = read_csv_panel(args.csv, dt=1.0 if args.dt is None else args.dt)
         k = args.k if args.k is not None else 1
     else:
-        panel, preset_k = preset_panel(args.preset, seed=args.seed,
+        if args.dt is not None:
+            raise ValueError("--dt applies to --csv input; a preset sets its own dt")
+        panel, preset_k = preset_panel(args.preset, seed=args.seed or 0,
                                        epsilon=args.epsilon)
         k = args.k if args.k is not None else preset_k
     if k not in (1, 2) and not args.allow_any_k:
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--csv", help="input panel CSV (time column + variables)")
     src.add_argument("--preset", help="built-in benchmark preset name")
-    p.add_argument("--dt", type=float, default=1.0, help="sample spacing for CSV input")
+    p.add_argument("--dt", type=float, help="sample spacing, --csv only (default 1)")
     p.add_argument("--k", type=int, default=None, help="differencing stride (1 or 2)")
     p.add_argument("--allow-any-k", action="store_true",
                    help="permit strides outside {1, 2}")
@@ -340,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence level for significance (default 0.90)")
     p.add_argument("--format", choices=("json", "dot", "csv-matrix"), default="json")
     p.add_argument("--out", help="artifact output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0, help="seed for preset generation")
+    p.add_argument("--seed", type=int, help="seed for preset generation (default 0)")
     p.add_argument("--ridge", type=float, default=0.0,
                    help="ridge added to the covariance diagonal (default 0)")
     p.add_argument("--epsilon", type=float, default=None,

@@ -48,9 +48,16 @@ variance g_i is zero, when the rank-one denominator is <= 0, or when any
 variance is <= 0.
 
 Significance is a two-sided z-test at confidence level ``alpha``: a value
-is significant iff its CI excludes zero.  The ratio C_ij / C_ii in a
-flow's standard error is treated as a plug-in constant, so the flow's
-test statistic coincides with the z-statistic of a_ij.
+v is significant iff its CI v +- z se excludes zero, i.e. |v| > z se, with
+z the (1 + alpha) / 2 normal quantile.  The ratio C_ij / C_ii in a flow's
+standard error is treated as a plug-in constant, so the flow's test
+statistic coincides with the z-statistic of a_ij.
+
+Normalization.  Target i's entropy budget is the absolute sum
+Z_i = |a_ii| + sum_{j != i} |T[j -> i]| + g_i / (2 C_ii), and the normalized
+flow tau[j -> i] = T[j -> i] / Z_i in [-1, 1] measures the relative
+importance of a cause; the self, noise and |tau| shares of Z_i sum to one.
+tau is reported alongside T: significance always comes from T and its CI.
 """
 
 from __future__ import annotations
@@ -61,8 +68,12 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DegenerateInputError, SingularCovarianceError, SingularInformationError
-from .normalize import normalize_flows
+from .errors import (
+    DegenerateInputError,
+    DegenerateNormalizerError,
+    SingularCovarianceError,
+    SingularInformationError,
+)
 from .stats import COND_LIMIT, TimeSeriesPanel, derive_series
 
 DEFAULT_ALPHA = 0.90
@@ -71,49 +82,19 @@ DEFAULT_ALPHA = 0.90
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-def gaussian_quantile(p: float) -> float:
-    """Standard normal quantile (inverse CDF)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile argument must be in (0, 1), got {p}")
-    return NormalDist().inv_cdf(p)
-
-
-def two_sided_p(z: float) -> float:
-    """Two-sided tail probability of a standard normal z-statistic."""
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
-def significance(value, stderr, alpha: float = DEFAULT_ALPHA):
-    """Elementwise two-sided z-test at confidence level alpha.
-
-    Returns (ci_low, ci_high, p, significant) arrays; a value is
-    significant iff its CI excludes zero.  A zero stderr gives p = 1 for
-    a zero value and p = 0 otherwise.
-    """
-    value = np.asarray(value, dtype=float)
-    stderr = np.asarray(stderr, dtype=float)
-    z = gaussian_quantile((1.0 + alpha) / 2.0)
-    ci_low = value - z * stderr
-    ci_high = value + z * stderr
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zabs = np.where(value == 0.0, 0.0, np.abs(value / stderr))
-    p = np.asarray(_erfc(zabs / math.sqrt(2.0)), dtype=float)
-    return ci_low, ci_high, p, (ci_low > 0.0) | (ci_high < 0.0)
-
-
 @dataclass(frozen=True)
 class FlowMatrix:
     """Flow estimates, their tests and the per-node terms of one panel.
 
     Pairwise arrays are d x d and indexed [source, target]: ``T[j, i]`` is
     the flow j -> i, with its ``stderr``, two-sided ``p``, z-test verdict
-    ``significant`` and normalized flow ``tau``.  Their diagonals hold no
-    flow: T, stderr and tau are 0 there, p is 1 and significant is False.
+    ``significant`` and normalized flow ``tau`` (T[j, i] / Z_i, see the
+    module docstring).  Their diagonals hold no flow: T, stderr and tau
+    are 0 there, p is 1 and significant is False.
 
     Per-node arrays have length d: ``self`` (a_ii) with ``self_stderr``
     and its verdict ``self_loop``, ``noise_rate`` (g_i / 2 C_ii) and the
-    residual variance ``g``.  ``A`` (A[i, j] = a_ij) holds the fitted
-    drift coefficients.  All arrays are read-only.
+    residual variance ``g``.  All arrays are read-only.
     """
 
     T: np.ndarray
@@ -126,7 +107,6 @@ class FlowMatrix:
     self_loop: np.ndarray
     noise_rate: np.ndarray
     g: np.ndarray
-    A: np.ndarray
     alpha: float
     k: int
 
@@ -148,12 +128,12 @@ def estimate_flows(
 ) -> FlowMatrix:
     """Estimate and test the full d x d flow matrix of a panel.
 
-    A series with zero variance raises DegenerateInputError, and a
-    covariance matrix with condition number above COND_LIMIT raises
-    SingularCovarianceError.  ``ridge`` > 0 adds ridge * I to C in the
-    coefficient solve; standard errors still need the unregularized C to
-    be invertible (see the module docstring).  ``alpha`` must lie in
-    (0, 1) and ``ridge`` must be finite.
+    A series with zero variance or a covariance that overflows float64
+    raises DegenerateInputError, and a covariance matrix with condition
+    number above COND_LIMIT raises SingularCovarianceError.  ``ridge`` > 0
+    adds ridge * I to C in the coefficient solve; standard errors still
+    need the unregularized C to be invertible (see the module docstring).
+    ``alpha`` must lie in (0, 1), ``ridge`` must be finite and N - k >= d + 2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -163,11 +143,16 @@ def estimate_flows(
     # centred panel columns (xc), and later the residuals.
     dc = derive_series(panel, k)
     n, dt, labels = dc.shape[1], panel.dt, panel.labels
+    if n < panel.d + 2:  # each row's d + 1 parameters would fit n samples exactly
+        raise ValueError(f"stride k={k} leaves N - k = {n} samples, need d + 2 = {panel.d + 2}")
     x = panel.data[:, :n]
-    xc = x - x.mean(axis=1)[:, None]
-    dc -= dc.mean(axis=1)[:, None]
-    C = (xc @ xc.T) / n
-    Cd = (xc @ dc.T) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean(axis=1)[:, None]
+        dc -= dc.mean(axis=1)[:, None]
+        C = (xc @ xc.T) / n
+        Cd = (xc @ dc.T) / n
+    if not (np.isfinite(C).all() and np.isfinite(Cd).all()):
+        raise DegenerateInputError("values are too large for a float64 covariance")
     flat = np.flatnonzero(np.diag(C) <= 0.0)
     if flat.size:
         raise DegenerateInputError(f"variable {labels[flat[0]]!r} has zero variance")
@@ -221,22 +206,31 @@ def estimate_flows(
     stderr = np.abs(C / cii) * np.sqrt(var.T)
     np.fill_diagonal(T, 0.0)
     np.fill_diagonal(stderr, 0.0)
-    _, _, p, significant = significance(T, stderr, alpha)
     self_influence = np.diag(A)
     self_stderr = np.sqrt(np.diag(var))
     noise = g / (2.0 * cii)
+    Z = np.abs(self_influence) + np.abs(T).sum(axis=0) + noise
+    zero = np.flatnonzero(~(Z > 0.0))
+    if zero.size:
+        raise DegenerateNormalizerError(
+            f"target {labels[zero[0]]!r}: all entropy contributions are zero"
+        )
+    z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
+    # A zero stderr gives p = 1 for a zero value and p = 0 otherwise.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zabs = np.where(T == 0.0, 0.0, np.abs(T / stderr))
+    p = np.asarray(_erfc(zabs / math.sqrt(2.0)), dtype=float)
     return FlowMatrix(
         T=T,
         stderr=stderr,
         p=p,
-        significant=significant,
-        tau=normalize_flows(T, self_influence, noise).tau,
+        significant=np.abs(T) > z * stderr,
+        tau=T / Z,
         self=self_influence,
         self_stderr=self_stderr,
-        self_loop=significance(self_influence, self_stderr, alpha)[3],
+        self_loop=np.abs(self_influence) > z * self_stderr,
         noise_rate=noise,
         g=g,
-        A=A,
         alpha=alpha,
         k=k,
     )

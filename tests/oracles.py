@@ -12,6 +12,9 @@ coupled-Rossler Heun integrator on float64 arrays.  ``reference_to_json``
 is the graph artifact as ``json.dumps(doc, indent=2)`` writes it.
 ``reference_read_rows`` is the row-at-a-time CSV panel reader whose
 acceptance rule and messages ``cli.read_csv_panel`` must reproduce.
+``reference_z``, ``reference_ci`` and ``reference_p`` are the z-test as CI
+arithmetic on ``statistics.NormalDist`` and ``math.erfc``, and
+``reference_normalize`` is the per-target normalization of a flow matrix.
 """
 
 import csv
@@ -19,17 +22,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from infoflow import (
     DegenerateInputError,
+    DegenerateNormalizerError,
     DivergenceError,
     ParseError,
     SingularCovarianceError,
     SingularInformationError,
 )
-from infoflow.estimator import gaussian_quantile
 from infoflow.graph import SCHEMA_VERSION
 from infoflow.stats import COND_LIMIT
 
@@ -184,7 +188,7 @@ def reference_flows(stats, panel, derived, alpha=0.90, ridge=0.0) -> dict:
     """
     d = panel.d
     C = stats.C
-    z = gaussian_quantile((1.0 + alpha) / 2.0)
+    z = reference_z(alpha)
     out = {name: np.zeros((d, d)) for name in ("T", "stderr")}
     out["significant"] = np.zeros((d, d), dtype=bool)
     for name in ("self", "self_stderr", "noise_rate", "min_info_eig"):
@@ -208,6 +212,53 @@ def reference_flows(stats, panel, derived, alpha=0.90, ridge=0.0) -> dict:
         out["self_loop"][i] = (a_ii - z * se_ii) > 0.0 or (a_ii + z * se_ii) < 0.0
         out["noise_rate"][i] = row.g_hat / (2.0 * C[i, i])
     return out
+
+
+def reference_z(alpha: float) -> float:
+    """Half-width of the two-sided CI at level alpha, in standard errors."""
+    return NormalDist().inv_cdf((1.0 + alpha) / 2.0)
+
+
+def reference_ci(value, stderr, alpha):
+    """(ci_low, ci_high, significant) of the z-test, elementwise.
+
+    A value is significant iff its CI excludes zero.
+    """
+    value, stderr = np.asarray(value, dtype=float), np.asarray(stderr, dtype=float)
+    z = reference_z(alpha)
+    low, high = value - z * stderr, value + z * stderr
+    return low, high, (low > 0.0) | (high < 0.0)
+
+
+def reference_p(value, stderr) -> np.ndarray:
+    """Two-sided p of value / stderr, one ``math.erfc`` per element.
+
+    A zero value has p = 1; a nonzero value with zero stderr has p = 0.
+    """
+    value, stderr = np.asarray(value, dtype=float), np.asarray(stderr, dtype=float)
+    p = np.empty(value.shape)
+    for idx, v in np.ndenumerate(value):
+        se = float(stderr[idx])
+        zabs = 0.0 if v == 0.0 else math.inf if se == 0.0 else abs(float(v) / se)
+        p[idx] = math.erfc(zabs / math.sqrt(2.0))
+    return p
+
+
+def reference_normalize(T, self_influence, noise_rate):
+    """(Z, tau, self_share, noise_share) of a flow matrix ``T[source, target]``.
+
+    Per target i, Z_i = |self_influence_i| + sum_j |T[j, i]| + noise_rate_i
+    (the diagonal of T is zero), tau = T / Z, and the self and noise
+    shares are |self_influence| / Z and noise_rate / Z.
+    """
+    T = np.asarray(T, dtype=float)
+    self_abs = np.abs(np.asarray(self_influence, dtype=float))
+    noise = np.asarray(noise_rate, dtype=float)
+    Z = self_abs + np.abs(T).sum(axis=0) + noise
+    zero = np.flatnonzero(~(Z > 0.0))
+    if zero.size:
+        raise DegenerateNormalizerError(f"target {zero[0]}: all entropy contributions are zero")
+    return Z, T / Z, self_abs / Z, noise / Z
 
 
 def _rossler_rhs(s, omega, eps):

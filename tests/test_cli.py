@@ -457,6 +457,37 @@ class TestAnalyze:
         assert code == 2
         assert err == "error: epsilon must be finite, got nan\n"
 
+    def test_dt_with_preset_rejected(self, capsys):
+        code, _, err = run(capsys, "analyze", "--preset", "var6-b1", "--dt", "0.5")
+        assert code == 2
+        assert err == "error: --dt applies to --csv input; a preset sets its own dt\n"
+
+    @pytest.mark.parametrize("option", [["--seed", "7"], ["--epsilon", "0.3"]])
+    def test_preset_option_with_csv_rejected(self, var6_csv, capsys, option):
+        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), *option)
+        assert code == 2
+        assert err == "error: --seed and --epsilon apply to presets, not to --csv input\n"
+
+    def test_stride_leaving_an_exact_fit_exit_code(self, var6_csv, capsys):
+        # var6-b100-short: N = 500 rows of d = 6 series
+        argv = ["analyze", "--csv", str(var6_csv), "--allow-any-k", "--k"]
+        code, _, err = run(capsys, *argv, "493")
+        assert code == 2
+        assert err == "error: stride k=493 leaves N - k = 7 samples, need d + 2 = 8\n"
+        code, _, _ = run(capsys, *argv, "492")
+        assert code == 0
+
+    def test_covariance_overflow_exit_code(self, tmp_path, capfd):
+        # nothing but the one error line reaches stderr: no RuntimeWarning
+        # and no LAPACK complaint about the non-finite matrix
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e155
+        path = tmp_path / "huge.csv"
+        with open(path, "w") as fh:
+            write_csv_panel(TimeSeriesPanel(data=data), fh)
+        code, _, err = run(capfd, "analyze", "--csv", str(path))
+        assert code == 3
+        assert err == "error: values are too large for a float64 covariance\n"
+
     def test_bad_k_requires_override(self, tmp_path, capsys):
         code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short",
                            "--k", "3")

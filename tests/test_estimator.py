@@ -4,16 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 
 from infoflow import (
+    DegenerateInputError,
     SingularInformationError,
     TimeSeriesPanel,
     derive_series,
     estimate_flows,
-    normalize_flows,
 )
-from infoflow.estimator import gaussian_quantile, significance, two_sided_p
 
 from conftest import random_walk_panel
-from oracles import compute_statistics, fisher_block, fit_row, reference_flows
+from oracles import (
+    compute_statistics,
+    fisher_block,
+    fit_row,
+    reference_ci,
+    reference_flows,
+    reference_p,
+    reference_z,
+)
 
 
 def fitted(panel, k=1):
@@ -36,7 +43,7 @@ def bivariate_flow(st):
 
 
 class TestGaussianQuantile:
-    # tabulated standard normal quantiles
+    # tabulated standard normal quantiles at p = (1 + alpha) / 2
     @pytest.mark.parametrize(
         "p, z",
         [
@@ -48,31 +55,42 @@ class TestGaussianQuantile:
         ],
     )
     def test_tabulated_values(self, p, z):
-        assert gaussian_quantile(p) == pytest.approx(z, abs=1e-8)
+        alpha = 2.0 * p - 1.0
+        assert reference_z(alpha) == pytest.approx(z, abs=1e-8)
+        if alpha > 0.0:
+            # the estimator's verdicts use the same quantile
+            m = estimate_flows(random_walk_panel(np.random.default_rng(7), d=4, n=200),
+                               alpha=alpha)
+            np.testing.assert_array_equal(m.significant, np.abs(m.T) > z * m.stderr)
+            np.testing.assert_array_equal(m.self_loop, np.abs(m.self) > z * m.self_stderr)
 
     def test_symmetry(self):
-        assert gaussian_quantile(0.05) == pytest.approx(-gaussian_quantile(0.95))
+        assert reference_z(-0.90) == pytest.approx(-reference_z(0.90))
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 2.0])
-    def test_domain(self, p):
-        with pytest.raises(ValueError):
-            gaussian_quantile(p)
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
+    def test_domain(self, alpha):
+        p = random_walk_panel(np.random.default_rng(0), d=2, n=100)
+        with pytest.raises(ValueError, match="alpha must be in"):
+            estimate_flows(p, alpha=alpha)
 
     def test_p_value_matches_quantile(self):
-        assert two_sided_p(1.6448536269514722) == pytest.approx(0.10, abs=1e-10)
+        assert reference_p(1.6448536269514722, 1.0) == pytest.approx(0.10, abs=1e-10)
+        # p < 1 - alpha exactly where the CI excludes zero
+        m = estimate_flows(random_walk_panel(np.random.default_rng(8), d=5, n=300))
+        for alpha in (0.5, 0.9, 0.99):
+            sig = reference_ci(m.T, m.stderr, alpha)[2]
+            np.testing.assert_array_equal(sig, m.p < 1.0 - alpha)
 
 
 class TestInfoFlow:
     def test_self_pair_rejected(self, rng):
-        # no flow from a variable to itself: the diagonal is empty, and a
-        # flow matrix with self-pairs is refused where flows are consumed
-        p = random_walk_panel(rng, d=2, n=100)
+        # no flow from a variable to itself: the diagonal of every pairwise
+        # array is empty, and self-influence is reported per node instead
+        p = random_walk_panel(rng, d=3, n=100)
         m = estimate_flows(p)
-        assert np.all(np.diag(m.T) == 0.0) and not np.any(np.diag(m.significant))
-        T = m.T.copy()
-        T[0, 0] = m.self[0]
-        with pytest.raises(ValueError, match="self"):
-            normalize_flows(T, m.self, m.noise_rate)
+        for a in (m.T, m.stderr, m.tau):
+            assert np.all(np.diag(a) == 0.0)
+        assert np.all(np.diag(m.p) == 1.0) and not np.any(np.diag(m.significant))
 
     def test_zero_cross_covariance_kills_flow(self):
         # C_12 = 0 exactly: the flow vanishes whatever the coefficient is.
@@ -221,27 +239,60 @@ class TestFisherBlock:
 
 class TestSignificance:
     def test_ci_arithmetic_at_90(self):
-        ci_low, ci_high, _, significant = significance(0.10, 0.01, alpha=0.90)
+        ci_low, ci_high, significant = reference_ci(0.10, 0.01, alpha=0.90)
         assert ci_low == pytest.approx(0.10 - 1.6448536269514722 * 0.01, abs=1e-9)
         assert ci_high == pytest.approx(0.10 + 1.6448536269514722 * 0.01, abs=1e-9)
         assert significant
 
     def test_small_flow_not_significant(self):
-        ci_low, ci_high, p_value, significant = significance(0.005, 0.01, alpha=0.90)
+        ci_low, ci_high, significant = reference_ci(0.005, 0.01, alpha=0.90)
         assert not significant
         assert ci_low < 0.0 < ci_high
-        assert p_value > 0.10
+        assert reference_p(0.005, 0.01) > 0.10
 
     def test_significant_iff_ci_excludes_zero(self, rng):
         p = random_walk_panel(rng, d=3, n=200)
         matrix = estimate_flows(p, alpha=0.90)
-        ci_low, ci_high, _, _ = significance(matrix.T, matrix.stderr, alpha=0.90)
+        ci_low, ci_high, _ = reference_ci(matrix.T, matrix.stderr, alpha=0.90)
         for j in range(3):
             for i in range(3):
                 if j == i:
                     continue
                 assert ci_low[j, i] <= matrix.T[j, i] <= ci_high[j, i]
                 assert matrix.significant[j, i] == (ci_low[j, i] > 0.0 or ci_high[j, i] < 0.0)
+
+    @given(
+        seed=st_.integers(0, 2**32 - 1),
+        d=st_.integers(1, 8),
+        n=st_.integers(40, 300),
+        dt=st_.sampled_from([0.01, 1.0, 5.0]),
+        ridge=st_.one_of(st_.just(0.0), st_.floats(1e-3, 1.0)),
+        alpha=st_.one_of(st_.sampled_from([0.5, 0.9, 0.99]), st_.floats(1e-6, 1.0 - 1e-6)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_verdicts_and_p_are_the_reference_z_test(self, seed, d, n, dt, ridge, alpha):
+        # bit for bit: a verdict is "the CI excludes zero", p is one erfc per pair
+        p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
+        try:
+            m = estimate_flows(p, alpha=alpha, ridge=ridge)
+        except SingularInformationError:
+            return
+        np.testing.assert_array_equal(m.significant, reference_ci(m.T, m.stderr, alpha)[2])
+        np.testing.assert_array_equal(m.self_loop,
+                                      reference_ci(m.self, m.self_stderr, alpha)[2])
+        np.testing.assert_array_equal(m.p, reference_p(m.T, m.stderr))
+
+    @given(
+        value=st_.floats(allow_nan=False, allow_infinity=False),
+        stderr=st_.floats(min_value=0.0, allow_infinity=False),
+        alpha=st_.floats(1e-6, 1.0 - 1e-6),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_abs_form_equals_ci_form(self, value, stderr, alpha):
+        # |v| > z se, the estimator's form, is "the CI excludes zero" in
+        # IEEE arithmetic too: a difference of unequal floats is never 0
+        w = reference_z(alpha) * stderr
+        assert (abs(value) > w) == ((value - w > 0.0) or (value + w < 0.0))
 
     def test_nil_causality_false_positive_rate(self):
         # independent AR(1) processes: roughly 10% of pairs flagged at 90%
@@ -270,7 +321,7 @@ class TestNodeDiagnostics:
     def test_self_loop_uses_same_ci_machinery(self, rng):
         p = random_walk_panel(rng, d=2, n=300)
         m = estimate_flows(p, alpha=0.90)
-        z = gaussian_quantile(0.95)
+        z = reference_z(0.90)
         expected = abs(m.self[0]) > z * m.self_stderr[0]
         assert m.self_loop[0] == expected
         assert m.noise_rate[0] >= 0.0
@@ -364,3 +415,24 @@ class TestSingularInformation:
         estimate_flows(p)
         with pytest.raises(SingularInformationError, match="positive definite"):
             estimate_flows(p, ridge=100.0)
+
+
+class TestInputLimits:
+    def test_stride_must_leave_more_samples_than_parameters(self):
+        # N - k <= d + 1 samples fit each row's d + 1 parameters exactly
+        # (g ~ 1e-35 at N - k = 7 here); N - k = d + 2 is the least accepted
+        from conftest import var6_spec
+        from infoflow import simulate_var
+
+        p = simulate_var(var6_spec(b=1.0, N=10000, seed=0))
+        with pytest.raises(ValueError, match=r"stride k=9993 leaves N - k = 7 samples"):
+            estimate_flows(p, k=p.n - p.d - 1)
+        assert estimate_flows(p, k=p.n - p.d - 2).k == 9992
+
+    def test_covariance_overflow_is_degenerate_input(self, capfd):
+        # C overflows float64: no RuntimeWarning (warnings are errors in
+        # this suite), nothing from LAPACK on stderr, and exit code 3
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e155
+        with pytest.raises(DegenerateInputError, match="too large for a float64 covariance"):
+            estimate_flows(TimeSeriesPanel(data=data))
+        assert capfd.readouterr().err == ""

@@ -170,7 +170,7 @@ class TestFitRow:
         der = derive_series(p, k=1)
         f_hat = fit_row(compute_statistics(p, der), p, der, 0).f_hat
         assert f_hat == pytest.approx(2.0, rel=1e-3)
-        assert m.A[0, 0] == pytest.approx(3.0, rel=1e-3)
+        assert m.self[0] == pytest.approx(3.0, rel=1e-3)
         assert m.g[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_scalar_least_squares_identity(self, rng):
@@ -178,7 +178,7 @@ class TestFitRow:
         p = TimeSeriesPanel(data=x[None, :])
         der = derive_series(p, k=1)
         st = compute_statistics(p, der)
-        assert estimate_flows(p).A[0, 0] == pytest.approx(st.Cd[0, 0] / st.C[0, 0], rel=1e-12)
+        assert estimate_flows(p).self[0] == pytest.approx(st.Cd[0, 0] / st.C[0, 0], rel=1e-12)
 
     def test_white_noise_target_has_no_spurious_coefficients(self):
         rng = np.random.default_rng(11)
@@ -193,10 +193,13 @@ class TestFitRow:
         target = rng.standard_normal(n)
         p = TimeSeriesPanel(data=np.vstack([target, regressors]))
         m = estimate_flows(p)
-        C = compute_statistics(p, derive_series(p)).C
+        der = derive_series(p)
+        st = compute_statistics(p, der)
+        a_hat = fit_row(st, p, der, 0).a_hat
         for j in (1, 2):
             # stderr[j, 0] is |C_0j / C_00| times the stderr of a_0j
-            assert abs(m.A[0, j]) < 3.0 * m.stderr[j, 0] / abs(C[0, j] / C[0, 0])
+            assert abs(a_hat[j]) < 3.0 * m.stderr[j, 0] / abs(st.C[0, j] / st.C[0, 0])
+            assert abs(m.T[j, 0]) < 3.0 * m.stderr[j, 0]
 
     def test_residual_ss_consistent_with_parameters(self, rng):
         p = random_walk_panel(rng, d=3, n=150)
@@ -204,7 +207,8 @@ class TestFitRow:
         st = compute_statistics(p, der)
         m = estimate_flows(p)
         x = p.data[:, : st.n_used]
-        resid = der[1] - fit_row(st, p, der, 1).f_hat - m.A[1] @ x
+        row = fit_row(st, p, der, 1)
+        resid = der[1] - row.f_hat - row.a_hat @ x
         assert resid @ resid == pytest.approx(m.g[1] * st.n_used / p.dt, rel=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -215,7 +219,12 @@ class TestFitRow:
         st = compute_statistics(p, der)
         m = estimate_flows(p)
         for i in range(d):
-            np.testing.assert_allclose(m.A[i], cofactor_solution(st, i), rtol=1e-8)
+            a = cofactor_solution(st, i)
+            np.testing.assert_allclose(fit_row(st, p, der, i).a_hat, a, rtol=1e-8)
+            # the estimator's outputs are these coefficients: T[j, i] = a_ij C_ij / C_ii
+            assert m.self[i] == pytest.approx(a[i], rel=1e-8)
+            flows = np.delete(a * st.C[i] / st.C[i, i], i)
+            np.testing.assert_allclose(np.delete(m.T[:, i], i), flows, rtol=1e-8)
 
     def test_permutation_equivariance(self, rng):
         p = random_walk_panel(rng, d=4, n=250)
@@ -226,8 +235,9 @@ class TestFitRow:
         np.testing.assert_allclose(sq.C, sp.C[np.ix_(perm, perm)], rtol=1e-12)
         np.testing.assert_allclose(sq.Cd, sp.Cd[np.ix_(perm, perm)], rtol=1e-12)
         mp, mq = estimate_flows(p), estimate_flows(q)
+        np.testing.assert_allclose(mq.T, mp.T[np.ix_(perm, perm)], rtol=1e-9, atol=0.0)
         for new_i, old_i in enumerate(perm):
-            np.testing.assert_allclose(mq.A[new_i], mp.A[old_i][perm], rtol=1e-9)
+            assert mq.self[new_i] == pytest.approx(mp.self[old_i], rel=1e-9)
             assert mq.g[new_i] == pytest.approx(mp.g[old_i], rel=1e-9)
 
     def test_scale_covariance(self, rng):
@@ -239,8 +249,11 @@ class TestFitRow:
         sp = compute_statistics(p, derive_series(p, k=1))
         sq = compute_statistics(q, derive_series(q, k=1))
         assert sq.C[1, 2] == pytest.approx(s * sp.C[1, 2], rel=1e-12)
-        rp, rq = estimate_flows(p), estimate_flows(q)
-        assert rq.A[0, 1] == pytest.approx(rp.A[0, 1] / s, rel=1e-9)
+        rp = fit_row(sp, p, derive_series(p, k=1), 0)
+        rq = fit_row(sq, q, derive_series(q, k=1), 0)
+        assert rq.a_hat[1] == pytest.approx(rp.a_hat[1] / s, rel=1e-9)
+        # the flow itself is invariant to the units of its source
+        assert estimate_flows(q).T[1, 0] == pytest.approx(estimate_flows(p).T[1, 0], rel=1e-9)
 
     def test_residual_ss_nonnegative(self, rng):
         for trial in range(10):
