@@ -88,11 +88,13 @@ def _check_utf8(path: str) -> None:
 def _read_records(path: str):
     """(labels, data) of a UTF-8 CSV panel, raising ParseError at its first defect."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_rows(fh, path)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: row 1: {exc}") from None
         if len(header) < 3:
             raise ParseError(
                 f"{path}: need a time column plus at least 2 variable columns, "
@@ -104,8 +106,8 @@ def _read_records(path: str):
             records, error = [], None
             try:
                 records.extend(itertools.islice(reader, BLOCK_ROWS))
-            except ParseError as exc:  # raised once the records before it pass
-                error = exc
+            except csv.Error as exc:  # raised once the records before it pass
+                error = ParseError(f"{path}: row {first + len(records)}: {exc}")
             values.frombytes(_block_values(path, records, first, d))
             if error is not None:
                 raise error
@@ -155,19 +157,6 @@ def _block_values(path: str, records, first: int, d: int) -> bytes:
             values.append(value)
         checked.append(values)
     return np.array(checked).tobytes()
-
-
-def _csv_rows(fh, path: str):
-    """The rows of ``csv.reader(fh)``; a csv.Error becomes a ParseError naming the row."""
-    reader = csv.reader(fh)
-    for lineno in itertools.count(1):
-        try:
-            cells = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:
-            raise ParseError(f"{path}: row {lineno}: {exc}") from None
-        yield cells
 
 
 def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:

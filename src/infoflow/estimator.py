@@ -51,7 +51,9 @@ Significance is a two-sided z-test at confidence level ``alpha``: a value
 v is significant iff its CI v +- z se excludes zero, i.e. |v| > z se, with
 z the (1 + alpha) / 2 normal quantile.  The ratio C_ij / C_ii in a flow's
 standard error is treated as a plug-in constant, so the flow's test
-statistic coincides with the z-statistic of a_ij.
+statistic coincides with the z-statistic of a_ij.  Its two-sided p-value,
+erfc(|T / se| / sqrt 2), is reported for edges only: graph.build_graph
+computes it from each edge's T and se.
 
 Normalization.  Target i's entropy budget is the absolute sum
 Z_i = |a_ii| + sum_{j != i} |T[j -> i]| + g_i / (2 C_ii), and the normalized
@@ -78,19 +80,16 @@ from .stats import COND_LIMIT, TimeSeriesPanel, derive_series
 
 DEFAULT_ALPHA = 0.90
 
-# Elementwise erfc; numpy has none and scipy is not a runtime dependency.
-_erfc = np.frompyfunc(math.erfc, 1, 1)
-
 
 @dataclass(frozen=True)
 class FlowMatrix:
     """Flow estimates, their tests and the per-node terms of one panel.
 
     Pairwise arrays are d x d and indexed [source, target]: ``T[j, i]`` is
-    the flow j -> i, with its ``stderr``, two-sided ``p``, z-test verdict
-    ``significant`` and normalized flow ``tau`` (T[j, i] / Z_i, see the
-    module docstring).  Their diagonals hold no flow: T, stderr and tau
-    are 0 there, p is 1 and significant is False.
+    the flow j -> i, with its ``stderr``, z-test verdict ``significant``
+    and normalized flow ``tau`` (T[j, i] / Z_i, see the module docstring).
+    Their diagonals hold no flow: T, stderr and tau are 0 there and
+    significant is False.
 
     Per-node arrays have length d: ``self`` (a_ii) with ``self_stderr``
     and its verdict ``self_loop``, ``noise_rate`` (g_i / 2 C_ii) and the
@@ -99,7 +98,6 @@ class FlowMatrix:
 
     T: np.ndarray
     stderr: np.ndarray
-    p: np.ndarray
     significant: np.ndarray
     tau: np.ndarray
     self: np.ndarray
@@ -128,12 +126,13 @@ def estimate_flows(
 ) -> FlowMatrix:
     """Estimate and test the full d x d flow matrix of a panel.
 
-    A series with zero variance or a covariance that overflows float64
-    raises DegenerateInputError, and a covariance matrix with condition
-    number above COND_LIMIT raises SingularCovarianceError.  ``ridge`` > 0
-    adds ridge * I to C in the coefficient solve; standard errors still
-    need the unregularized C to be invertible (see the module docstring).
-    ``alpha`` must lie in (0, 1), ``ridge`` must be finite and N - k >= d + 2.
+    A constant series, or values too large or too small for a float64
+    covariance, raise DegenerateInputError, and a covariance matrix with
+    condition number above COND_LIMIT raises SingularCovarianceError.
+    ``ridge`` > 0 adds ridge * I to C in the coefficient solve; standard
+    errors still need the unregularized C to be invertible (see the module
+    docstring).  ``alpha`` must lie in (0, 1), ``ridge`` must be finite and
+    N - k >= d + 2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -155,7 +154,13 @@ def estimate_flows(
         raise DegenerateInputError("values are too large for a float64 covariance")
     flat = np.flatnonzero(np.diag(C) <= 0.0)
     if flat.size:
-        raise DegenerateInputError(f"variable {labels[flat[0]]!r} has zero variance")
+        i = flat[0]
+        if np.all(x[i] == x[i, 0]):
+            raise DegenerateInputError(f"variable {labels[i]!r} has zero variance")
+        # The series varies, but its squared deviations underflow to 0.
+        raise DegenerateInputError(
+            f"variable {labels[i]!r}: values are too small for a float64 covariance"
+        )
 
     s = np.linalg.svd(C, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,14 +221,9 @@ def estimate_flows(
             f"target {labels[zero[0]]!r}: all entropy contributions are zero"
         )
     z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
-    # A zero stderr gives p = 1 for a zero value and p = 0 otherwise.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zabs = np.where(T == 0.0, 0.0, np.abs(T / stderr))
-    p = np.asarray(_erfc(zabs / math.sqrt(2.0)), dtype=float)
     return FlowMatrix(
         T=T,
         stderr=stderr,
-        p=p,
         significant=np.abs(T) > z * stderr,
         tau=T / Z,
         self=self_influence,

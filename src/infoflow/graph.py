@@ -10,6 +10,7 @@ output; DOT shows only the significant edges.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -72,9 +73,12 @@ def build_graph(matrix: FlowMatrix, panel: TimeSeriesPanel) -> CausalGraph:
         labels, matrix.self.tolist(), matrix.self_stderr.tolist(),
         matrix.self_loop.tolist(), matrix.noise_rate.tolist())))
     src, dst = np.nonzero(matrix.significant)
+    T, stderr = matrix.T[src, dst], matrix.stderr[src, dst]
+    # Each edge's two-sided p; an edge has T != 0 and stderr > 0.
+    p = map(math.erfc, (np.abs(T / stderr) / math.sqrt(2.0)).tolist())
     edges = tuple(map(GraphEdge._make, zip(
         map(labels.__getitem__, src.tolist()), map(labels.__getitem__, dst.tolist()),
-        *(a[src, dst].tolist() for a in (matrix.T, matrix.stderr, matrix.p, matrix.tau)))))
+        T.tolist(), stderr.tolist(), p, matrix.tau[src, dst].tolist())))
     rows = matrix.T.tolist()
     for i, row in enumerate(rows):
         row[i] = None

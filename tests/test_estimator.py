@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from infoflow import (
     derive_series,
     estimate_flows,
 )
+from infoflow.graph import build_graph
 
 from conftest import random_walk_panel
 from oracles import (
@@ -40,6 +43,14 @@ def bivariate_flow(st):
     C11, C12, C22 = st.C[0, 0], st.C[0, 1], st.C[1, 1]
     C1d1, C2d1 = st.Cd[0, 0], st.Cd[1, 0]
     return (C11 * C12 * C2d1 - C12 ** 2 * C1d1) / (C11 ** 2 * C22 - C11 * C12 ** 2)
+
+
+def assert_edge_p(edges, alpha):
+    """Each edge's p is the reference p of its T and stderr, and below 1 - alpha."""
+    got = np.array([e.p for e in edges])
+    np.testing.assert_array_equal(
+        got, reference_p([e.T for e in edges], [e.stderr for e in edges]))
+    assert np.all(got < 1.0 - alpha)
 
 
 class TestGaussianQuantile:
@@ -75,11 +86,39 @@ class TestGaussianQuantile:
 
     def test_p_value_matches_quantile(self):
         assert reference_p(1.6448536269514722, 1.0) == pytest.approx(0.10, abs=1e-10)
-        # p < 1 - alpha exactly where the CI excludes zero
-        m = estimate_flows(random_walk_panel(np.random.default_rng(8), d=5, n=300))
+        # p < 1 - alpha exactly where the CI excludes zero, and each edge
+        # reports that p bit for bit
+        panel = random_walk_panel(np.random.default_rng(8), d=5, n=300)
         for alpha in (0.5, 0.9, 0.99):
+            m = estimate_flows(panel, alpha=alpha)
             sig = reference_ci(m.T, m.stderr, alpha)[2]
-            np.testing.assert_array_equal(sig, m.p < 1.0 - alpha)
+            np.testing.assert_array_equal(sig, reference_p(m.T, m.stderr) < 1.0 - alpha)
+            edges = build_graph(m, panel).edges
+            assert len(edges) == np.count_nonzero(sig) > 0
+            assert_edge_p(edges, alpha)
+
+
+class TestVerdictThresholds:
+    def test_verdicts_flip_at_the_quantile(self):
+        # alpha = 2 Phi(t) - 1 puts z at t: a verdict holds just below its
+        # own |value| / stderr and fails just above it
+        def in_range(value, stderr):  # 0.5 <= |value| / stderr <= 3
+            return (np.abs(value) >= 0.5 * stderr) & (np.abs(value) <= 3.0 * stderr)
+
+        panel = random_walk_panel(np.random.default_rng(7), d=4, n=200)
+        m = estimate_flows(panel)
+        off = ~np.eye(m.d, dtype=bool)
+        node = np.flatnonzero(in_range(m.self, m.self_stderr))[0]
+        pair = tuple(np.argwhere(off & in_range(m.T, m.stderr))[0])
+        cases = [
+            ("self_loop", node, abs(m.self[node]) / m.self_stderr[node]),
+            ("significant", pair, abs(m.T[pair]) / m.stderr[pair]),
+        ]
+        for verdict, index, ratio in cases:
+            for scale, expected in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+                alpha = 2.0 * NormalDist().cdf(ratio * scale) - 1.0
+                got = getattr(estimate_flows(panel, alpha=alpha), verdict)[index]
+                assert got == expected, (verdict, scale)
 
 
 class TestInfoFlow:
@@ -90,7 +129,7 @@ class TestInfoFlow:
         m = estimate_flows(p)
         for a in (m.T, m.stderr, m.tau):
             assert np.all(np.diag(a) == 0.0)
-        assert np.all(np.diag(m.p) == 1.0) and not np.any(np.diag(m.significant))
+        assert not np.any(np.diag(m.significant))
 
     def test_zero_cross_covariance_kills_flow(self):
         # C_12 = 0 exactly: the flow vanishes whatever the coefficient is.
@@ -271,7 +310,7 @@ class TestSignificance:
     )
     @settings(max_examples=100, deadline=None)
     def test_verdicts_and_p_are_the_reference_z_test(self, seed, d, n, dt, ridge, alpha):
-        # bit for bit: a verdict is "the CI excludes zero", p is one erfc per pair
+        # bit for bit: a verdict is "the CI excludes zero", p is one erfc per edge
         p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
         try:
             m = estimate_flows(p, alpha=alpha, ridge=ridge)
@@ -280,7 +319,7 @@ class TestSignificance:
         np.testing.assert_array_equal(m.significant, reference_ci(m.T, m.stderr, alpha)[2])
         np.testing.assert_array_equal(m.self_loop,
                                       reference_ci(m.self, m.self_stderr, alpha)[2])
-        np.testing.assert_array_equal(m.p, reference_p(m.T, m.stderr))
+        assert_edge_p(build_graph(m, p).edges, alpha)
 
     @given(
         value=st_.floats(allow_nan=False, allow_infinity=False),
@@ -428,6 +467,21 @@ class TestInputLimits:
         with pytest.raises(ValueError, match=r"stride k=9993 leaves N - k = 7 samples"):
             estimate_flows(p, k=p.n - p.d - 1)
         assert estimate_flows(p, k=p.n - p.d - 2).k == 9992
+
+    def test_covariance_underflow_is_named(self, capfd):
+        # every series varies, but C's entries (~1e-338) underflow to 0
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e-170
+        with pytest.raises(DegenerateInputError,
+                           match="'X1': values are too small for a float64 covariance"):
+            estimate_flows(TimeSeriesPanel(data=data))
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("level", [3.0, 1e-170])
+    def test_constant_series_has_zero_variance(self, level):
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1)
+        data[1] = level
+        with pytest.raises(DegenerateInputError, match="'X2' has zero variance"):
+            estimate_flows(TimeSeriesPanel(data=data))
 
     def test_covariance_overflow_is_degenerate_input(self, capfd):
         # C overflows float64: no RuntimeWarning (warnings are errors in
