@@ -196,7 +196,7 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
 
     out = []
     out.append(f"Information flow T[row -> col] (nats per unit time), "
-               f"* = significant at {matrix.alpha:.0%}:")
+               f"* = significant at alpha={matrix.alpha!r}:")
     out.append(" " * width + "".join(fmt(s) for s in labels))
     for j in range(d):
         cells = []
@@ -263,7 +263,7 @@ def cmd_analyze(args) -> int:
         k = args.k if args.k is not None else preset_k
     if k not in (1, 2) and not args.allow_any_k:
         raise ValueError(f"k={k} is outside {{1, 2}}; pass --allow-any-k to force")
-    matrix = estimate_flows(panel, k=k, alpha=args.alpha, ridge=args.ridge)
+    matrix = estimate_flows(panel, k=k, alpha=args.alpha)
     sys.stdout.write(_summary(matrix, panel))
     graph = build_graph(matrix, panel)
     if args.format == "json":
@@ -334,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "dot", "csv-matrix"), default="json")
     p.add_argument("--out", help="artifact output path (default: stdout)")
     p.add_argument("--seed", type=int, help="seed for preset generation (default 0)")
-    p.add_argument("--ridge", type=float, default=0.0,
-                   help="ridge added to the covariance diagonal (default 0)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="coupling strength (rossler preset only)")
     p.set_defaults(func=cmd_analyze)
@@ -362,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.seed or 0) < 0:
+        parser.error(f"argument --seed: must be non-negative, got {args.seed}")
     try:
         return args.func(args)
     except InfoflowError as exc:

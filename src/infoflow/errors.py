@@ -36,7 +36,8 @@ class SingularCovarianceError(InfoflowError):
 
 
 class SingularInformationError(InfoflowError):
-    """Observed information matrix could not be inverted."""
+    """Observed information matrix is singular: a zero residual variance
+    or a non-positive coefficient variance."""
 
     exit_code = 5
 

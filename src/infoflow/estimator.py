@@ -28,24 +28,10 @@ M = mean(u u^T), the observed information per sample is
 (the (b, b) entry uses sum R^2 dt / n = g).  At the MLE the normal
 equations give mean(u R) = 0, so c = 0, and the coefficient block of
 I^-1 is the inverse of the Schur complement of f in (dt / g) M, which is
-(dt / g) C.  Hence var(a_ij) = g_i (C^-1)_jj / (dt n).
-
-A ridge lambda > 0 solves (C + lambda I) a_i = Cd[:, i] instead.  That
-is not the MLE: mean(X R) = Cd[:, i] - C a_i = lambda a_i, so
-c = 2 dt lambda / (b g) (0, a_i).  The information is still taken for the
-unregularized model at the ridge estimate.  Eliminating b subtracts
-c c^T g / 2 = 2 dt^2 lambda^2 / g^2 a_i a_i^T from (dt / g) C, and
-Sherman-Morrison gives, with the unregularized C,
-
-    var(a_ij) = [ g_i (C^-1)_jj / dt
-                  + 2 (lambda (C^-1 a_i)_j)^2
-                    / (1 - 2 dt lambda^2 a_i^T C^-1 a_i / g_i) ] / n.
-
-At lambda = 0 the rank-one term is zero, so this one formula serves both
-cases.  The information matrix is singular, and SingularInformationError
-is raised, when C is singular (whatever the ridge), when a residual
-variance g_i is zero, when the rank-one denominator is <= 0, or when any
-variance is <= 0.
+(dt / g) C.  Hence var(a_ij) = g_i (C^-1)_jj / (dt n).  The information
+matrix is singular, and SingularInformationError is raised, when a
+residual variance g_i is zero or any coefficient variance is <= 0.  A
+near-singular C raises SingularCovarianceError before either is formed.
 
 Significance is a two-sided z-test at confidence level ``alpha``: a value
 v is significant iff its CI v +- z se excludes zero, i.e. |v| > z se, with
@@ -64,7 +50,6 @@ tau is reported alongside T: significance always comes from T and its CI.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -76,9 +61,12 @@ from .errors import (
     SingularCovarianceError,
     SingularInformationError,
 )
-from .stats import COND_LIMIT, TimeSeriesPanel, derive_series
+from .stats import TimeSeriesPanel, derive_series
 
 DEFAULT_ALPHA = 0.90
+# Above this condition number the covariance matrix is treated as
+# singular.
+COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -122,22 +110,18 @@ def estimate_flows(
     panel: TimeSeriesPanel,
     k: int = 1,
     alpha: float = DEFAULT_ALPHA,
-    ridge: float = 0.0,
 ) -> FlowMatrix:
     """Estimate and test the full d x d flow matrix of a panel.
 
     A constant series, or values too large or too small for a float64
     covariance, raise DegenerateInputError, and a covariance matrix with
-    condition number above COND_LIMIT raises SingularCovarianceError.
-    ``ridge`` > 0 adds ridge * I to C in the coefficient solve; standard
-    errors still need the unregularized C to be invertible (see the module
-    docstring).  ``alpha`` must lie in (0, 1), ``ridge`` must be finite and
+    condition number above COND_LIMIT raises SingularCovarianceError.  A
+    zero residual variance or a non-positive coefficient variance raises
+    SingularInformationError.  ``alpha`` must lie in (0, 1) and
     N - k >= d + 2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 <= ridge < math.inf:
-        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     # Three d x n arrays: the derived series, centred in place (dc), the
     # centred panel columns (xc), and later the residuals.
     dc = derive_series(panel, k)
@@ -164,18 +148,12 @@ def estimate_flows(
 
     s = np.linalg.svd(C, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond, cond_ridge = s[0] / s[-1], (s[0] + ridge) / (s[-1] + ridge)
-    if not cond_ridge <= COND_LIMIT:
-        raise SingularCovarianceError(
-            f"covariance matrix is near-singular (condition number {cond_ridge:.3e})"
-        )
+        cond = s[0] / s[-1]
     if not cond <= COND_LIMIT:
-        raise SingularInformationError(
-            f"covariance matrix is near-singular (condition number {cond:.3e}): "
-            "the ridge regularizes the coefficients, but their information "
-            "matrix stays singular"
+        raise SingularCovarianceError(
+            f"covariance matrix is near-singular (condition number {cond:.3e})"
         )
-    A = np.linalg.solve(C + ridge * np.eye(panel.d), Cd).T
+    A = np.linalg.solve(C, Cd).T
     Cinv = np.linalg.inv(C)
 
     R = A @ xc
@@ -188,18 +166,7 @@ def estimate_flows(
             "information matrix undefined"
         )
 
-    CinvA = A @ Cinv  # row i is (C^-1 a_i)^T
-    # The rank-one terms are formed from ridge * a_i and ridge * C^-1 a_i,
-    # which stay finite where ridge**2 would overflow.
-    ridge_A, ridge_CinvA = ridge * A, ridge * CinvA
-    den = 1.0 - 2.0 * dt * np.einsum("ij,ij->i", ridge_A, ridge_CinvA) / g
-    bad = np.flatnonzero(~(den > 0.0))
-    if bad.size:
-        raise SingularInformationError(
-            f"target {labels[bad[0]]!r}: information matrix at the ridge "
-            "estimate is not positive definite"
-        )
-    var = (np.outer(g, np.diag(Cinv)) / dt + 2.0 * ridge_CinvA**2 / den[:, None]) / n
+    var = np.outer(g, np.diag(Cinv)) / dt / n
     bad = np.flatnonzero(~np.all(var > 0.0, axis=1))
     if bad.size:
         raise SingularInformationError(

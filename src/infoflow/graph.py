@@ -97,7 +97,6 @@ def reconstruct(
     panel: TimeSeriesPanel,
     alpha: float = DEFAULT_ALPHA,
     k: int = 1,
-    ridge: float = 0.0,
 ) -> CausalGraph:
     """Infer the causal graph of a panel.
 
@@ -108,7 +107,7 @@ def reconstruct(
     """
     if panel.d < 2:
         raise ValueError("graph reconstruction needs at least two variables")
-    matrix = estimate_flows(panel, k=k, alpha=alpha, ridge=ridge)
+    matrix = estimate_flows(panel, k=k, alpha=alpha)
     return build_graph(matrix, panel)
 
 

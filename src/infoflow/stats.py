@@ -13,10 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Above this condition number the covariance matrix is treated as
-# singular.
-COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True)
 class TimeSeriesPanel:

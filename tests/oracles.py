@@ -34,8 +34,8 @@ from infoflow import (
     SingularCovarianceError,
     SingularInformationError,
 )
+from infoflow.estimator import COND_LIMIT
 from infoflow.graph import SCHEMA_VERSION
-from infoflow.stats import COND_LIMIT
 
 
 def _frozen(a) -> np.ndarray:
@@ -118,13 +118,12 @@ def aligned_samples(panel, derived):
     return panel.data[:, : derived.shape[1]], derived
 
 
-def fit_row(stats, panel, derived, i, ridge=0.0) -> RowMLE:
-    """Solve the normal equations (C + ridge I) a = Cd[:, i] for target row i."""
-    C = stats.C + ridge * np.eye(panel.d)
-    cond = np.linalg.cond(C)
+def fit_row(stats, panel, derived, i) -> RowMLE:
+    """Solve the normal equations C a = Cd[:, i] for target row i."""
+    cond = np.linalg.cond(stats.C)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularCovarianceError(f"condition number {cond:.3e}")
-    a_hat = np.linalg.solve(C, stats.Cd[:, i])
+    a_hat = np.linalg.solve(stats.C, stats.Cd[:, i])
     f_hat = float(stats.dot_means[i] - a_hat @ stats.means)
     x, dot = aligned_samples(panel, derived)
     residuals = dot[i] - f_hat - a_hat @ x
@@ -179,25 +178,22 @@ def cofactor_solution(stats, i):
     return delta.T @ stats.Cd[:, i] / np.linalg.det(C)
 
 
-@np.errstate(invalid="ignore")  # an indefinite I gives negative variances
-def reference_flows(stats, panel, derived, alpha=0.90, ridge=0.0) -> dict:
+def reference_flows(stats, panel, derived, alpha=0.90) -> dict:
     """Flow matrix, stderrs, node terms and verdicts from the per-row path.
 
     Pairwise arrays are indexed [source, target] with zero diagonals.
-    ``min_info_eig`` holds each row's smallest information eigenvalue.
     """
     d = panel.d
     C = stats.C
     z = reference_z(alpha)
     out = {name: np.zeros((d, d)) for name in ("T", "stderr")}
     out["significant"] = np.zeros((d, d), dtype=bool)
-    for name in ("self", "self_stderr", "noise_rate", "min_info_eig"):
+    for name in ("self", "self_stderr", "noise_rate"):
         out[name] = np.zeros(d)
     out["self_loop"] = np.zeros(d, dtype=bool)
     for i in range(d):
-        row = fit_row(stats, panel, derived, i, ridge=ridge)
+        row = fit_row(stats, panel, derived, i)
         fb = fisher_block(panel, derived, row, i)
-        out["min_info_eig"][i] = np.linalg.eigvalsh(fb.matrix)[0]
         var = np.diag(fb.param_cov)[1 : d + 1]
         for j in range(d):
             if j != i:

@@ -409,15 +409,24 @@ class TestAnalyze:
         assert code == 4
         assert "error:" in err
 
-    def test_ridge_on_duplicate_columns_is_singular_information(self, tmp_path, capsys):
-        # the ridge regularizes the coefficients, not their information matrix
-        x = np.cumsum(np.random.default_rng(0).standard_normal(100))
-        path = tmp_path / "dup.csv"
+    def test_constant_derivative_exit_code(self, tmp_path, capsys):
+        # X1 = n has the exact derivative 1, so its row fits with no residual
+        x = np.cumsum(np.random.default_rng(0).standard_normal(200))
+        path = tmp_path / "ramp.csv"
         with open(path, "w") as fh:
-            write_csv_panel(TimeSeriesPanel(data=np.vstack([x, x])), fh)
-        code, _, err = run(capsys, "analyze", "--csv", str(path), "--ridge", "1e-3")
+            write_csv_panel(TimeSeriesPanel(data=np.vstack([np.arange(200.0), x])), fh)
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
         assert code == 5
-        assert "error:" in err
+        assert err == ("error: target 'X1': residual variance is zero, "
+                       "information matrix undefined\n")
+
+    @pytest.mark.parametrize("alpha", ["0.9", "0.975", "0.995"])
+    def test_summary_header_states_alpha_exactly(self, capsys, alpha):
+        code, out, _ = run(capsys, "analyze", "--preset", "var6-b100-short",
+                           "--alpha", alpha, "--format", "dot")
+        assert code == 0
+        assert out.splitlines()[0] == ("Information flow T[row -> col] (nats per unit time), "
+                                       f"* = significant at alpha={alpha}:")
 
     @pytest.mark.parametrize("alpha", ["-0.5", "0", "1", "1.5"])
     def test_alpha_outside_unit_interval_exit_code(self, capsys, alpha):
@@ -437,20 +446,6 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--dt", dt)
         assert code == 2
         assert err == f"error: {var6_csv}: dt must be positive and finite, got {float(dt)}\n"
-
-    @pytest.mark.parametrize("ridge", ["inf", "nan", "-1"])
-    def test_invalid_ridge_exit_code(self, var6_csv, capsys, ridge):
-        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--ridge", ridge)
-        assert code == 2
-        assert err == f"error: ridge must be finite and >= 0, got {float(ridge)}\n"
-
-    @pytest.mark.parametrize("ridge", ["1e200", "1e308"])
-    def test_ridge_too_large_to_square_is_singular_information(self, var6_csv, capsys, ridge):
-        # ridge**2 overflows; the rank-one terms must not
-        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--ridge", ridge)
-        assert code == 5
-        assert err == ("error: target 'X1': information matrix at the ridge "
-                       "estimate is not positive definite\n")
 
     def test_non_finite_epsilon_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "--preset", "rossler", "--epsilon", "nan")
@@ -533,6 +528,19 @@ class TestSweep:
                            "--steps", "2")
         assert code == 2
         assert err == "error: --eps-from and --eps-to must be finite, got 0.0 and inf\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "var6-b1"],
+    ["analyze", "--preset", "var6-b1"],
+    ["sweep", "--eps-from", "0", "--eps-to", "1", "--steps", "1"],
+], ids=["generate", "analyze", "sweep"])
+def test_negative_seed_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: must be non-negative, got -1\n")
 
 
 class TestImport:

@@ -305,17 +305,13 @@ class TestSignificance:
         d=st_.integers(1, 8),
         n=st_.integers(40, 300),
         dt=st_.sampled_from([0.01, 1.0, 5.0]),
-        ridge=st_.one_of(st_.just(0.0), st_.floats(1e-3, 1.0)),
         alpha=st_.one_of(st_.sampled_from([0.5, 0.9, 0.99]), st_.floats(1e-6, 1.0 - 1e-6)),
     )
     @settings(max_examples=100, deadline=None)
-    def test_verdicts_and_p_are_the_reference_z_test(self, seed, d, n, dt, ridge, alpha):
+    def test_verdicts_and_p_are_the_reference_z_test(self, seed, d, n, dt, alpha):
         # bit for bit: a verdict is "the CI excludes zero", p is one erfc per edge
         p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
-        try:
-            m = estimate_flows(p, alpha=alpha, ridge=ridge)
-        except SingularInformationError:
-            return
+        m = estimate_flows(p, alpha=alpha)
         np.testing.assert_array_equal(m.significant, reference_ci(m.T, m.stderr, alpha)[2])
         np.testing.assert_array_equal(m.self_loop,
                                       reference_ci(m.self, m.self_stderr, alpha)[2])
@@ -377,18 +373,13 @@ class TestClosedFormMatchesOracle:
         d=st_.integers(2, 8),
         n=st_.integers(60, 400),
         dt=st_.sampled_from([0.01, 0.1, 1.0, 5.0]),
-        ridge=st_.one_of(st_.just(0.0), st_.floats(1e-3, 5.0)),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_general_fisher_block(self, seed, d, n, dt, ridge):
+    def test_matches_general_fisher_block(self, seed, d, n, dt):
         p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
         der = derive_series(p)
-        ref = reference_flows(compute_statistics(p, der), p, der, alpha=0.90, ridge=ridge)
-        if np.min(ref["min_info_eig"]) <= 0.0:
-            with pytest.raises(SingularInformationError):
-                estimate_flows(p, alpha=0.90, ridge=ridge)
-            return
-        m = estimate_flows(p, alpha=0.90, ridge=ridge)
+        ref = reference_flows(compute_statistics(p, der), p, der, alpha=0.90)
+        m = estimate_flows(p, alpha=0.90)
         off = ~np.eye(d, dtype=bool)
         assert max_rel(m.T[off], ref["T"][off], normwise=True) <= 1e-12
         assert max_rel(m.self, ref["self"], normwise=True) <= 1e-12
@@ -399,12 +390,9 @@ class TestClosedFormMatchesOracle:
         np.testing.assert_array_equal(m.self_loop, ref["self_loop"])
 
 
-def fit_outcome(panel, k, ridge):
-    """Every FlowMatrix array as bytes, or the error estimate_flows raised."""
-    try:
-        m = estimate_flows(panel, k=k, alpha=0.90, ridge=ridge)
-    except SingularInformationError as exc:
-        return type(exc), str(exc)
+def fit_outcome(panel, k):
+    """Every FlowMatrix array as bytes."""
+    m = estimate_flows(panel, k=k, alpha=0.90)
     return {name: (v.dtype, v.shape, v.tobytes()) for name, v in vars(m).items()
             if isinstance(v, np.ndarray)}
 
@@ -415,45 +403,30 @@ class TestInputLayout:
         d=st_.integers(2, 8),
         n=st_.integers(40, 300),
         k=st_.sampled_from([1, 2]),
-        ridge=st_.one_of(st_.just(0.0), st_.floats(1e-3, 5.0)),
     )
     @settings(max_examples=60, deadline=None)
-    def test_bit_identical_for_c_fortran_and_strided_data(self, seed, d, n, k, ridge):
+    def test_bit_identical_for_c_fortran_and_strided_data(self, seed, d, n, k):
         data = random_walk_panel(np.random.default_rng(seed), d=d, n=n).data
         copies = [
             np.ascontiguousarray(data),
             np.asfortranarray(data),
             np.repeat(data, 3, axis=1)[:, 1::3],
         ]
-        outcomes = [fit_outcome(TimeSeriesPanel(data=c), k, ridge) for c in copies]
+        outcomes = [fit_outcome(TimeSeriesPanel(data=c), k) for c in copies]
         assert outcomes[1] == outcomes[0]
         assert outcomes[2] == outcomes[0]
 
 
 class TestSingularInformation:
-    def test_ridge_on_singular_covariance_is_not_certainty(self, rng):
-        # duplicate series: the ridge solves for coefficients, but their
-        # information matrix needs the unregularized C, which is singular
-        x = np.cumsum(rng.standard_normal(100))
-        p = TimeSeriesPanel(data=np.vstack([x, x]))
-        with pytest.raises(SingularInformationError, match="condition number"):
-            estimate_flows(p, ridge=1e-3)
-
-    def test_indefinite_information_at_large_ridge(self):
-        # anti-persistent AR(1) rows: the derivative is mostly explained by
-        # the level, so a strong ridge leaves the rank-one denominator < 0
-        rng = np.random.default_rng(1)
-        e = rng.standard_normal((2, 2000))
-        x = np.zeros_like(e)
-        for t in range(1, 2000):
-            x[:, t] = -0.5 * x[:, t - 1] + e[:, t]
-        p = TimeSeriesPanel(data=x)
-        der = derive_series(p)
-        ref = reference_flows(compute_statistics(p, der), p, der, ridge=100.0)
-        assert np.all(ref["min_info_eig"] < 0.0)
-        estimate_flows(p)
-        with pytest.raises(SingularInformationError, match="positive definite"):
-            estimate_flows(p, ridge=100.0)
+    def test_constant_derivative_has_zero_residual_variance(self, rng):
+        # X1 = n has the exact derivative 1, so its row fits with no residual
+        x = np.cumsum(rng.standard_normal(200))
+        p = TimeSeriesPanel(data=np.vstack([np.arange(200.0), x]))
+        with pytest.raises(SingularInformationError) as exc:
+            estimate_flows(p)
+        assert str(exc.value) == ("target 'X1': residual variance is zero, "
+                                  "information matrix undefined")
+        assert exc.value.exit_code == 5
 
 
 class TestInputLimits:

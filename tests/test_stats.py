@@ -125,16 +125,6 @@ class TestComputeStatistics:
         with pytest.raises(SingularCovarianceError):
             estimate_flows(p)
 
-    def test_ridge_rescues_singular_covariance(self, rng):
-        # the ridge solve itself is finite; estimate_flows still refuses
-        # the panel (see TestSingularInformation in test_estimator.py)
-        x = np.cumsum(rng.standard_normal(100))
-        p = TimeSeriesPanel(data=np.vstack([x, x]))
-        der = derive_series(p, k=1)
-        st = compute_statistics(p, der)
-        row = fit_row(st, p, der, 0, ridge=1e-3)
-        assert np.all(np.isfinite(row.a_hat))
-
     def test_zero_variance_names_variable(self):
         p = TimeSeriesPanel(
             data=np.array([[1.0, 2.0, 1.5, 2.5, 1.0], [3.0, 3.0, 3.0, 3.0, 3.0]]),
