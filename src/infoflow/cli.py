@@ -9,8 +9,8 @@ Three subcommands:
 * ``sweep``    -- run the Rossler coupling-strength sweep and write the
   plot-ready flow table.
 
-Exit status is 0 on success; each error class maps to a distinct
-nonzero code (see errors.py).
+Exit status is 0 on success and 1 when the reader closes stdout early;
+each error class maps to a distinct nonzero code (see errors.py).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import contextlib
 import csv
 import itertools
 import math
+import os
 import sys
 from array import array
 
@@ -175,14 +176,20 @@ def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
         ))
 
 
-def _matrix_csv(matrix) -> str:
+def _matrix_csv(graph) -> str:
     """Flow matrix as CSV text: entry (row, col) is T[row -> col]."""
-    d = matrix.d
+    d = len(graph.flow_matrix)
     lines = ["source," + ",".join(f"to_{i + 1}" for i in range(d))]
-    for j, row in enumerate(matrix.T.tolist()):
-        cells = ("" if j == i else repr(t) for i, t in enumerate(row))
+    for j, row in enumerate(graph.flow_matrix):
+        cells = ("" if t is None else repr(t) for t in row)
         lines.append(f"from_{j + 1}," + ",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+# Artifact writer per --format name, each looked up when called, so that a
+# wrapper put over a module name (perfbench's tracer) is the one that runs.
+FORMATS = {"json": lambda graph: to_json(graph), "dot": lambda graph: to_dot(graph),
+           "csv-matrix": lambda graph: _matrix_csv(graph)}
 
 
 def _summary(matrix, panel: TimeSeriesPanel) -> str:
@@ -194,19 +201,17 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
     def fmt(label):
         return f"{label:>{width}}"
 
+    def table(cell):  # cell(j, i) formats entry j -> i
+        out.append(" " * width + "".join(fmt(s) for s in labels))
+        for j in range(d):
+            out.append(fmt(labels[j]) + "".join(
+                fmt(".") if j == i else cell(j, i) for i in range(d)))
+
     out = []
     out.append(f"Information flow T[row -> col] (nats per unit time), "
                f"* = significant at alpha={matrix.alpha!r}:")
-    out.append(" " * width + "".join(fmt(s) for s in labels))
-    for j in range(d):
-        cells = []
-        for i in range(d):
-            if j == i:
-                cells.append(fmt("."))
-            else:
-                star = "*" if matrix.significant[j, i] else " "
-                cells.append(f"{matrix.T[j, i]:>{width - 1}.3f}{star}")
-        out.append(fmt(labels[j]) + "".join(cells))
+    table(lambda j, i: f"{matrix.T[j, i]:>{width - 1}.3f}"
+                       + ("*" if matrix.significant[j, i] else " "))
     out.append("")
     out.append("Node diagnostics:")
     out.append(fmt("node") + fmt("dH*/dt") + fmt("stderr") + fmt("self-loop")
@@ -221,15 +226,7 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
         )
     out.append("")
     out.append("Normalized flows tau[row -> col] (% of target's entropy budget):")
-    out.append(" " * width + "".join(fmt(s) for s in labels))
-    for j in range(d):
-        cells = []
-        for i in range(d):
-            if j == i:
-                cells.append(fmt("."))
-            else:
-                cells.append(f"{100.0 * matrix.tau[j, i]:>{width - 1}.1f}%")
-        out.append(fmt(labels[j]) + "".join(cells))
+    table(lambda j, i: f"{100.0 * matrix.tau[j, i]:>{width - 1}.1f}%")
     return "\n".join(out) + "\n"
 
 
@@ -254,29 +251,20 @@ def cmd_analyze(args) -> int:
         if args.seed is not None or args.epsilon is not None:
             raise ValueError("--seed and --epsilon apply to presets, not to --csv input")
         panel = read_csv_panel(args.csv, dt=1.0 if args.dt is None else args.dt)
-        k = args.k if args.k is not None else 1
+        k = 1
     else:
         if args.dt is not None:
             raise ValueError("--dt applies to --csv input; a preset sets its own dt")
-        panel, preset_k = preset_panel(args.preset, seed=args.seed or 0,
-                                       epsilon=args.epsilon)
-        k = args.k if args.k is not None else preset_k
-    if k not in (1, 2) and not args.allow_any_k:
-        raise ValueError(f"k={k} is outside {{1, 2}}; pass --allow-any-k to force")
+        panel, k = preset_panel(args.preset, seed=args.seed or 0, epsilon=args.epsilon)
+    if args.k is not None:
+        k = args.k
     matrix = estimate_flows(panel, k=k, alpha=args.alpha)
     sys.stdout.write(_summary(matrix, panel))
-    graph = build_graph(matrix, panel)
-    if args.format == "json":
-        artifact = to_json(graph)
-    elif args.format == "dot":
-        artifact = to_dot(graph)
-    else:
-        artifact = _matrix_csv(matrix)
-    if args.out:
-        with _output(args.out) as fh:
-            fh.write(artifact)
-    else:
-        sys.stdout.write("\n" + artifact)
+    artifact = FORMATS[args.format](build_graph(matrix, panel))
+    with _output(args.out) as fh:
+        if fh is sys.stdout:
+            fh.write("\n")  # a blank line between the summary and the artifact
+        fh.write(artifact)
     return 0
 
 
@@ -288,12 +276,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.steps < 1:
-        raise ValueError("need at least one grid point")
-    if not (math.isfinite(args.eps_from) and math.isfinite(args.eps_to)):
-        raise ValueError(
-            f"--eps-from and --eps-to must be finite, got {args.eps_from} and {args.eps_to}"
-        )
+    # linspace(a, b, 1) would turn -0.0 into 0.0, and warn on a huge span
     if args.steps == 1:
         grid = [args.eps_from]
     else:
@@ -314,6 +297,23 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _checked(convert, ok, rule: str):
+    """An argparse type: read the text with ``convert``, then require ``ok(value)``."""
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    check.__name__ = convert.__name__  # text convert rejects: "invalid int value: 'x'"
+    return check
+
+
+SEED = _checked(int, lambda v: v >= 0, "non-negative")
+STEPS = _checked(int, lambda v: v >= 1, "at least 1")
+FINITE = _checked(float, math.isfinite, "finite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infoflow",
@@ -326,31 +326,29 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--csv", help="input panel CSV (time column + variables)")
     src.add_argument("--preset", help="built-in benchmark preset name")
     p.add_argument("--dt", type=float, help="sample spacing, --csv only (default 1)")
-    p.add_argument("--k", type=int, default=None, help="differencing stride (1 or 2)")
-    p.add_argument("--allow-any-k", action="store_true",
-                   help="permit strides outside {1, 2}")
+    p.add_argument("--k", type=int, help="differencing stride (default 1; 2 for rossler)")
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA,
                    help="confidence level for significance (default 0.90)")
-    p.add_argument("--format", choices=("json", "dot", "csv-matrix"), default="json")
+    p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--out", help="artifact output path (default: stdout)")
-    p.add_argument("--seed", type=int, help="seed for preset generation (default 0)")
+    p.add_argument("--seed", type=SEED, help="seed for preset generation (default 0)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="coupling strength (rossler preset only)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="write a benchmark panel to CSV")
     p.add_argument("preset", help="preset name")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="coupling strength (rossler preset only)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sweep", help="Rossler coupling-strength sweep table")
-    p.add_argument("--eps-from", type=float, required=True)
-    p.add_argument("--eps-to", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps-from", type=FINITE, required=True)
+    p.add_argument("--eps-to", type=FINITE, required=True)
+    p.add_argument("--steps", type=STEPS, required=True)
+    p.add_argument("--seed", type=SEED, default=0)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_sweep)
@@ -358,18 +356,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if (args.seed or 0) < 0:
-        parser.error(f"argument --seed: must be non-negative, got {args.seed}")
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return status
     except InfoflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush
+        # at exit cannot fail again (see the SIGPIPE note in the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -113,8 +113,9 @@ def estimate_flows(
 ) -> FlowMatrix:
     """Estimate and test the full d x d flow matrix of a panel.
 
-    A constant series, or values too large or too small for a float64
-    covariance, raise DegenerateInputError, and a covariance matrix with
+    A constant series, values too large or too small for a float64
+    covariance, or a residual or coefficient variance too large for
+    float64, raise DegenerateInputError, and a covariance matrix with
     condition number above COND_LIMIT raises SingularCovarianceError.  A
     zero residual variance or a non-positive coefficient variance raises
     SingularInformationError.  ``alpha`` must lie in (0, 1) and
@@ -158,7 +159,16 @@ def estimate_flows(
 
     R = A @ xc
     np.subtract(dc, R, out=R)
-    g = np.einsum("ij,ij->i", R, R) * dt / n
+    with np.errstate(over="ignore"):
+        g = np.einsum("ij,ij->i", R, R) * dt / n
+        var = np.outer(g, np.diag(Cinv)) / dt / n
+    # diag(Cinv) > 0, so a non-finite g_i leaves row i of var non-finite too
+    big = np.flatnonzero(~np.isfinite(var).all(axis=1))
+    if big.size:
+        raise DegenerateInputError(
+            f"target {labels[big[0]]!r}: residual or coefficient variance "
+            "is too large for float64"
+        )
     zero = np.flatnonzero(~(g > 0.0))
     if zero.size:
         raise SingularInformationError(
@@ -166,7 +176,6 @@ def estimate_flows(
             "information matrix undefined"
         )
 
-    var = np.outer(g, np.diag(Cinv)) / dt / n
     bad = np.flatnonzero(~np.all(var > 0.0, axis=1))
     if bad.size:
         raise SingularInformationError(

@@ -13,7 +13,8 @@ from hypothesis import strategies as st_
 
 from infoflow import ParseError, TimeSeriesPanel
 from infoflow.cli import BLOCK_ROWS, UTF8_CHUNK_BYTES, main, read_csv_panel, write_csv_panel
-from infoflow.simgen import _var6_spec
+from infoflow.graph import reconstruct, to_json
+from infoflow.simgen import _var6_spec, preset_panel
 from oracles import reference_read_rows
 
 
@@ -21,6 +22,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# analyze's summary of a 3-series panel whose first label is 12 characters long
+WIDE_SUMMARY = """\
+Information flow T[row -> col] (nats per unit time), * = significant at alpha=0.9:
+              a_long_label            y            z
+ a_long_label            .      -0.001       -0.008*
+            y       0.005             .       0.034*
+            z       0.000       -0.001             .
+
+Node diagnostics:
+         node       dH*/dt       stderr    self-loop        noise
+ a_long_label       -0.014       0.0081          yes        0.003
+            y       -0.005       0.0087           no        0.003
+            z       -0.037       0.0110          yes        0.011
+
+Normalized flows tau[row -> col] (% of target's entropy budget):
+              a_long_label            y            z
+ a_long_label            .        -6.7%        -8.8%
+            y        24.1%            .        38.3%
+            z         0.3%       -15.3%            .
+"""
 
 
 class TestGenerate:
@@ -465,7 +488,7 @@ class TestAnalyze:
 
     def test_stride_leaving_an_exact_fit_exit_code(self, var6_csv, capsys):
         # var6-b100-short: N = 500 rows of d = 6 series
-        argv = ["analyze", "--csv", str(var6_csv), "--allow-any-k", "--k"]
+        argv = ["analyze", "--csv", str(var6_csv), "--k"]
         code, _, err = run(capsys, *argv, "493")
         assert code == 2
         assert err == "error: stride k=493 leaves N - k = 7 samples, need d + 2 = 8\n"
@@ -483,14 +506,46 @@ class TestAnalyze:
         assert code == 3
         assert err == "error: values are too large for a float64 covariance\n"
 
-    def test_bad_k_requires_override(self, tmp_path, capsys):
-        code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short",
-                           "--k", "3")
-        assert code == 2
-        assert "allow-any-k" in err
+    def test_any_stride_runs_as_the_library_runs_it(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
         code, _, _ = run(capsys, "analyze", "--preset", "var6-b100-short",
-                         "--k", "3", "--allow-any-k")
+                         "--k", "3", "--out", str(out))
         assert code == 0
+        panel, _ = preset_panel("var6-b100-short", seed=0)
+        assert out.read_text() == to_json(reconstruct(panel, k=3))
+
+    def test_allow_any_k_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--preset", "var6-b100-short", "--k", "3", "--allow-any-k"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --allow-any-k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["1e-160", "1e-300"])
+    def test_overflowing_variance_exit_code(self, var6_csv, capsys, dt):
+        # R ~ 1/dt, so the residual variance g overflows to inf; JSON holds no inf
+        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--dt", dt)
+        assert code == 3
+        assert err == ("error: target 'X1': residual or coefficient variance "
+                       "is too large for float64\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "dot", "csv-matrix"])
+    def test_out_dash_is_stdout(self, tmp_path, capsys, fmt):
+        argv = ["analyze", "--preset", "var6-b100-short", "--format", fmt]
+        code, summary, _ = run(capsys, *argv, "--out", str(tmp_path / "artifact"))
+        assert code == 0
+        want = summary + "\n" + (tmp_path / "artifact").read_text()
+        assert run(capsys, *argv) == (0, want, "")
+        assert run(capsys, *argv, "--out", "-") == (0, want, "")
+
+    def test_summary_with_wide_labels(self, tmp_path, capsys):
+        # a label longer than 10 characters widens every column to len + 1
+        data = np.cumsum(np.random.default_rng(7).standard_normal((3, 400)), axis=1)
+        path = tmp_path / "wide.csv"
+        with open(path, "w") as fh:
+            write_csv_panel(TimeSeriesPanel(data=data, labels=("a_long_label", "y", "z")), fh)
+        code, out, _ = run(capsys, "analyze", "--csv", str(path), "--out", str(tmp_path / "g"))
+        assert code == 0
+        assert out == WIDE_SUMMARY
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -517,17 +572,18 @@ class TestSweep:
         assert row[7] == "1"  # sig_X_to_Y
 
     def test_zero_steps_rejected(self, capsys):
-        code, _, err = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "1",
-                           "--steps", "0")
-        assert code == 2
-        assert "grid" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--eps-from", "0", "--eps-to", "1", "--steps", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --steps: must be at least 1, got 0\n")
 
     def test_non_finite_epsilon_exit_code(self, capsys):
-        # checked before linspace, which would warn on an infinite end point
-        code, _, err = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "inf",
-                           "--steps", "2")
-        assert code == 2
-        assert err == "error: --eps-from and --eps-to must be finite, got 0.0 and inf\n"
+        # checked at parse time, before linspace, which would warn on an infinite end point
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--eps-from", "0", "--eps-to", "inf", "--steps", "2"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: argument --eps-to: must be finite, got inf\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -543,14 +599,45 @@ def test_negative_seed_rejected_at_parse_time(capsys, argv):
         "error: argument --seed: must be non-negative, got -1\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["generate", "var6-b1"],
+    ["analyze", "--preset", "var6-b1"],
+    ["sweep", "--eps-from", "0", "--eps-to", "1", "--steps", "1"],
+], ids=["generate", "analyze", "sweep"])
+def test_non_numeric_seed_rejected_at_parse_time(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "x"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --seed: invalid int value: 'x'\n")
+
+
+def src_env():
+    """The environment with this checkout's infoflow first on PYTHONPATH."""
+    import infoflow
+
+    src = os.path.dirname(os.path.dirname(infoflow.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "var6-b100-short"],
+    ["generate", "var6-b1"],
+], ids=["analyze", "generate"])
+def test_closed_stdout_exits_1_quietly(tmp_path, argv):
+    # the read end closes while the child is still importing, before it writes
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "infoflow.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=err, env=src_env())
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        err.seek(0)
+        assert err.read() == ""
+
+
 class TestImport:
     def test_import_does_not_load_scipy(self):
-        import infoflow
-
-        src = os.path.dirname(os.path.dirname(infoflow.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
         code = "import sys, infoflow; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+        out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                              text=True, timeout=60, check=True).stdout
         assert out.strip() == "False"

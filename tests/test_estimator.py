@@ -456,6 +456,27 @@ class TestInputLimits:
         with pytest.raises(DegenerateInputError, match="'X2' has zero variance"):
             estimate_flows(TimeSeriesPanel(data=data))
 
+    def test_coefficient_variance_overflow_is_degenerate_input(self):
+        # g stays finite (<= 2e154), but g (C^-1)_jj / (dt n) overflows for the
+        # shrunken X1: no RuntimeWarning (warnings are errors in this suite)
+        from infoflow.simgen import preset_panel
+
+        data = preset_panel("var6-b100-short")[0].data * np.array([[1e-4]] + [[1.0]] * 5)
+        with pytest.raises(DegenerateInputError, match="target 'X3': residual or coefficient "
+                                                       "variance is too large for float64"):
+            estimate_flows(TimeSeriesPanel(data=data, dt=10**-150.25))
+
+    def test_small_dt_keeps_verdicts_and_tau(self):
+        # dt = 1e-160 overflows g (exit 3, see test_cli); 1e-150 does not
+        from infoflow.simgen import preset_panel
+
+        data = preset_panel("var6-b100-short")[0].data
+        a = estimate_flows(TimeSeriesPanel(data=data, dt=1.0))
+        b = estimate_flows(TimeSeriesPanel(data=data, dt=1e-150))
+        assert np.array_equal(a.significant, b.significant)
+        assert np.array_equal(a.self_loop, b.self_loop)
+        np.testing.assert_allclose(b.tau, a.tau, rtol=0, atol=1e-15)
+
     def test_covariance_overflow_is_degenerate_input(self, capfd):
         # C overflows float64: no RuntimeWarning (warnings are errors in
         # this suite), nothing from LAPACK on stderr, and exit code 3
