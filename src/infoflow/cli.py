@@ -219,9 +219,9 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
     for i in range(d):
         out.append(
             fmt(labels[i])
-            + f"{matrix.self[i]:>{width}.3f}"
-            + f"{matrix.self_stderr[i]:>{width}.4f}"
-            + fmt("yes" if matrix.self_loop[i] else "no")
+            + f"{matrix.T[i, i]:>{width}.3f}"
+            + f"{matrix.stderr[i, i]:>{width}.4f}"
+            + fmt("yes" if matrix.significant[i, i] else "no")
             + f"{matrix.noise_rate[i]:>{width}.3f}"
         )
     out.append("")

@@ -16,8 +16,8 @@ f_i = mean(dX_i/dt) - a_i . mean(X), so the residuals are the centred ones,
 R = dc - A xc, and g_i = b_i^2 = sum_n R_in^2 dt / n.
 
 The flow rate from X_j to X_i is ``T[j -> i] = a_ij C_ij / C_ii`` in nats
-per unit time, a node's influence on itself is a_ii, and the entropy
-contribution of its stochastic forcing is ``g_i / (2 C_ii)``.
+per unit time, T[i -> i] = a_ii is a node's influence on itself, and the
+entropy contribution of its stochastic forcing is ``g_i / (2 C_ii)``.
 
 Standard errors.  Per row, with theta = (f_i, a_i, b_i), u = (1, X) and
 M = mean(u u^T), the observed information per sample is
@@ -42,9 +42,9 @@ erfc(|T / se| / sqrt 2), is reported for edges only: graph.build_graph
 computes it from each edge's T and se.
 
 Normalization.  Target i's entropy budget is the absolute sum
-Z_i = |a_ii| + sum_{j != i} |T[j -> i]| + g_i / (2 C_ii), and the normalized
-flow tau[j -> i] = T[j -> i] / Z_i in [-1, 1] measures the relative
-importance of a cause; the self, noise and |tau| shares of Z_i sum to one.
+Z_i = sum_j |T[j -> i]| + g_i / (2 C_ii), with |a_ii| at j = i, and the
+normalized flow tau[j -> i] = T[j -> i] / Z_i in [-1, 1] measures the
+relative importance of a cause; the noise and |tau| shares of Z_i sum to one.
 tau is reported alongside T: significance always comes from T and its CI.
 """
 
@@ -76,11 +76,10 @@ class FlowMatrix:
     Pairwise arrays are d x d and indexed [source, target]: ``T[j, i]`` is
     the flow j -> i, with its ``stderr``, z-test verdict ``significant``
     and normalized flow ``tau`` (T[j, i] / Z_i, see the module docstring).
-    Their diagonals hold no flow: T, stderr and tau are 0 there and
-    significant is False.
+    Their diagonals hold each node's own term: the self-influence a_ii, its
+    stderr, the self-loop verdict and a_ii's share of Z_i.
 
-    Per-node arrays have length d: ``self`` (a_ii) with ``self_stderr``
-    and its verdict ``self_loop``, ``noise_rate`` (g_i / 2 C_ii) and the
+    Per-node arrays have length d: ``noise_rate`` (g_i / 2 C_ii) and the
     residual variance ``g``.  All arrays are read-only.
     """
 
@@ -88,9 +87,6 @@ class FlowMatrix:
     stderr: np.ndarray
     significant: np.ndarray
     tau: np.ndarray
-    self: np.ndarray
-    self_stderr: np.ndarray
-    self_loop: np.ndarray
     noise_rate: np.ndarray
     g: np.ndarray
     alpha: float
@@ -147,9 +143,7 @@ def estimate_flows(
             f"variable {labels[i]!r}: values are too small for a float64 covariance"
         )
 
-    s = np.linalg.svd(C, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = s[0] / s[-1]
+    cond = np.linalg.cond(C)
     if not cond <= COND_LIMIT:
         raise SingularCovarianceError(
             f"covariance matrix is near-singular (condition number {cond:.3e})"
@@ -183,14 +177,12 @@ def estimate_flows(
         )
 
     cii = np.diag(C)
-    T = A.T * C / cii
-    stderr = np.abs(C / cii) * np.sqrt(var.T)
-    np.fill_diagonal(T, 0.0)
-    np.fill_diagonal(stderr, 0.0)
-    self_influence = np.diag(A)
-    self_stderr = np.sqrt(np.diag(var))
+    # C_ii / C_ii is exactly 1, so T[i, i] is a_ii bit for bit
+    ratio = C / cii
+    T = A.T * ratio
+    stderr = np.abs(ratio) * np.sqrt(var.T)
     noise = g / (2.0 * cii)
-    Z = np.abs(self_influence) + np.abs(T).sum(axis=0) + noise
+    Z = np.abs(T).sum(axis=0) + noise
     zero = np.flatnonzero(~(Z > 0.0))
     if zero.size:
         raise DegenerateNormalizerError(
@@ -202,9 +194,6 @@ def estimate_flows(
         stderr=stderr,
         significant=np.abs(T) > z * stderr,
         tau=T / Z,
-        self=self_influence,
-        self_stderr=self_stderr,
-        self_loop=np.abs(self_influence) > z * self_stderr,
         noise_rate=noise,
         g=g,
         alpha=alpha,

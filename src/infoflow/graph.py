@@ -71,9 +71,9 @@ def build_graph(matrix: FlowMatrix, panel: TimeSeriesPanel) -> CausalGraph:
     """Assemble a CausalGraph from an estimated flow matrix."""
     labels = panel.labels
     nodes = tuple(map(GraphNode._make, zip(
-        labels, matrix.self.tolist(), matrix.self_stderr.tolist(),
-        matrix.self_loop.tolist(), matrix.noise_rate.tolist())))
-    src, dst = np.nonzero(matrix.significant)
+        labels, np.diag(matrix.T).tolist(), np.diag(matrix.stderr).tolist(),
+        np.diag(matrix.significant).tolist(), matrix.noise_rate.tolist())))
+    src, dst = np.nonzero(matrix.significant & ~np.eye(matrix.d, dtype=bool))
     T, stderr = matrix.T[src, dst], matrix.stderr[src, dst]
     # Each edge's two-sided p; an edge has T != 0 and stderr > 0.
     p = map(math.erfc, (np.abs(T / stderr) / math.sqrt(2.0)).tolist())

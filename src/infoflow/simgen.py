@@ -82,8 +82,8 @@ class RosslerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if not all(math.isfinite(w) for w in self.omega):

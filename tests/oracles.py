@@ -179,33 +179,28 @@ def cofactor_solution(stats, i):
 
 
 def reference_flows(stats, panel, derived, alpha=0.90) -> dict:
-    """Flow matrix, stderrs, node terms and verdicts from the per-row path.
+    """Flow matrix, stderrs, noise rates and verdicts from the per-row path.
 
-    Pairwise arrays are indexed [source, target] with zero diagonals.
+    Pairwise arrays are indexed [source, target]; entry [i, i] is target i's
+    self-influence a_ii, its stderr and its self-loop verdict.
     """
     d = panel.d
     C = stats.C
     z = reference_z(alpha)
     out = {name: np.zeros((d, d)) for name in ("T", "stderr")}
     out["significant"] = np.zeros((d, d), dtype=bool)
-    for name in ("self", "self_stderr", "noise_rate"):
-        out[name] = np.zeros(d)
-    out["self_loop"] = np.zeros(d, dtype=bool)
+    out["noise_rate"] = np.zeros(d)
     for i in range(d):
         row = fit_row(stats, panel, derived, i)
         fb = fisher_block(panel, derived, row, i)
         var = np.diag(fb.param_cov)[1 : d + 1]
         for j in range(d):
-            if j != i:
-                t = row.a_hat[j] * C[i, j] / C[i, i]
-                se = abs(C[i, j] / C[i, i]) * np.sqrt(var[j])
-                out["T"][j, i] = t
-                out["stderr"][j, i] = se
-                out["significant"][j, i] = (t - z * se) > 0.0 or (t + z * se) < 0.0
-        a_ii, se_ii = row.a_hat[i], np.sqrt(var[i])
-        out["self"][i] = a_ii
-        out["self_stderr"][i] = se_ii
-        out["self_loop"][i] = (a_ii - z * se_ii) > 0.0 or (a_ii + z * se_ii) < 0.0
+            ratio = C[i, j] / C[i, i]
+            t = row.a_hat[j] * ratio
+            se = abs(ratio) * np.sqrt(var[j])
+            out["T"][j, i] = t
+            out["stderr"][j, i] = se
+            out["significant"][j, i] = (t - z * se) > 0.0 or (t + z * se) < 0.0
         out["noise_rate"][i] = row.g_hat / (2.0 * C[i, i])
     return out
 
@@ -240,21 +235,20 @@ def reference_p(value, stderr) -> np.ndarray:
     return p
 
 
-def reference_normalize(T, self_influence, noise_rate):
-    """(Z, tau, self_share, noise_share) of a flow matrix ``T[source, target]``.
+def reference_normalize(T, noise_rate):
+    """(Z, tau, noise_share) of a flow matrix ``T[source, target]``.
 
-    Per target i, Z_i = |self_influence_i| + sum_j |T[j, i]| + noise_rate_i
-    (the diagonal of T is zero), tau = T / Z, and the self and noise
-    shares are |self_influence| / Z and noise_rate / Z.
+    Per target i, Z_i = sum_j |T[j, i]| + noise_rate_i, whose j = i term is
+    the self-influence on the diagonal, tau = T / Z, and the noise share is
+    noise_rate / Z.
     """
     T = np.asarray(T, dtype=float)
-    self_abs = np.abs(np.asarray(self_influence, dtype=float))
     noise = np.asarray(noise_rate, dtype=float)
-    Z = self_abs + np.abs(T).sum(axis=0) + noise
+    Z = np.abs(T).sum(axis=0) + noise
     zero = np.flatnonzero(~(Z > 0.0))
     if zero.size:
         raise DegenerateNormalizerError(f"target {zero[0]}: all entropy contributions are zero")
-    return Z, T / Z, self_abs / Z, noise / Z
+    return Z, T / Z, noise / Z
 
 
 def _rossler_rhs(s, omega, eps):

@@ -61,7 +61,7 @@ def analyze_var6(b, N, seed):
     matrix = estimate_flows(panel, k=1, alpha=ALPHA)
     edges = {(j + 1, i + 1) for j, i in zip(*np.nonzero(matrix.significant))}
     abs_T = {e: abs(matrix.T[e[0] - 1, e[1] - 1]) for e in TRUE_EDGES}
-    self_abs = tuple(np.abs(matrix.self))
+    self_abs = tuple(np.abs(np.diag(matrix.T)))
     taus = {}
     for src, dst in ((6, 2), (6, 5), (4, 5), (5, 4)):
         taus[(src, dst)] = matrix.tau[src - 1, dst - 1]

@@ -73,7 +73,8 @@ class TestGaussianQuantile:
             m = estimate_flows(random_walk_panel(np.random.default_rng(7), d=4, n=200),
                                alpha=alpha)
             np.testing.assert_array_equal(m.significant, np.abs(m.T) > z * m.stderr)
-            np.testing.assert_array_equal(m.self_loop, np.abs(m.self) > z * m.self_stderr)
+            np.testing.assert_array_equal(np.diag(m.significant),
+                                          np.abs(np.diag(m.T)) > z * np.diag(m.stderr))
 
     def test_symmetry(self):
         assert reference_z(-0.90) == pytest.approx(-reference_z(0.90))
@@ -94,7 +95,8 @@ class TestGaussianQuantile:
             sig = reference_ci(m.T, m.stderr, alpha)[2]
             np.testing.assert_array_equal(sig, reference_p(m.T, m.stderr) < 1.0 - alpha)
             edges = build_graph(m, panel).edges
-            assert len(edges) == np.count_nonzero(sig) > 0
+            # the diagonal verdicts are self-loops, not edges
+            assert len(edges) == np.count_nonzero(sig & ~np.eye(m.d, dtype=bool)) > 0
             assert_edge_p(edges, alpha)
 
 
@@ -108,28 +110,33 @@ class TestVerdictThresholds:
         panel = random_walk_panel(np.random.default_rng(7), d=4, n=200)
         m = estimate_flows(panel)
         off = ~np.eye(m.d, dtype=bool)
-        node = np.flatnonzero(in_range(m.self, m.self_stderr))[0]
+        node = np.flatnonzero(in_range(np.diag(m.T), np.diag(m.stderr)))[0]
         pair = tuple(np.argwhere(off & in_range(m.T, m.stderr))[0])
-        cases = [
-            ("self_loop", node, abs(m.self[node]) / m.self_stderr[node]),
-            ("significant", pair, abs(m.T[pair]) / m.stderr[pair]),
-        ]
-        for verdict, index, ratio in cases:
+        for index in ((node, node), pair):
+            ratio = abs(m.T[index]) / m.stderr[index]
             for scale, expected in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
                 alpha = 2.0 * NormalDist().cdf(ratio * scale) - 1.0
-                got = getattr(estimate_flows(panel, alpha=alpha), verdict)[index]
-                assert got == expected, (verdict, scale)
+                got = estimate_flows(panel, alpha=alpha).significant[index]
+                assert got == expected, (index, scale)
 
 
 class TestInfoFlow:
-    def test_self_pair_rejected(self, rng):
-        # no flow from a variable to itself: the diagonal of every pairwise
-        # array is empty, and self-influence is reported per node instead
+    def test_diagonal_holds_the_self_terms(self, rng):
+        # T[i, i] is a_ii, stderr[i, i] its standard error
+        # sqrt(g_i (C^-1)_ii / (dt n)), and significant[i, i] is the z-test
+        # every flow gets
         p = random_walk_panel(rng, d=3, n=100)
-        m = estimate_flows(p)
-        for a in (m.T, m.stderr, m.tau):
-            assert np.all(np.diag(a) == 0.0)
-        assert not np.any(np.diag(m.significant))
+        _, st, rows = fitted(p)
+        a_ii = [row.a_hat[i] for i, row in enumerate(rows)]
+        g = np.array([row.g_hat for row in rows])
+        se = np.sqrt(g * np.diag(np.linalg.inv(st.C)) / p.dt / st.n_used)
+        for alpha in (0.5, 0.9, 0.99):
+            m = estimate_flows(p, alpha=alpha)
+            np.testing.assert_allclose(np.diag(m.T), a_ii, rtol=1e-12)
+            np.testing.assert_allclose(np.diag(m.stderr), se, rtol=1e-12)
+            np.testing.assert_array_equal(
+                np.diag(m.significant),
+                reference_ci(np.diag(m.T), np.diag(m.stderr), alpha)[2])
 
     def test_zero_cross_covariance_kills_flow(self):
         # C_12 = 0 exactly: the flow vanishes whatever the coefficient is.
@@ -165,14 +172,14 @@ class TestSelfInfluence:
         t = np.arange(5000) * dt
         x = 3.0 * np.exp(-0.5 * t)
         p = TimeSeriesPanel(data=x[None, :], dt=dt)
-        assert estimate_flows(p).self[0] == pytest.approx(-0.5, rel=1e-3)
+        assert estimate_flows(p).T[0, 0] == pytest.approx(-0.5, rel=1e-3)
 
     def test_white_noise_discretization_value(self):
         # for iid samples the forward-difference fit sees a_ii = -1/dt
         rng = np.random.default_rng(3)
         p = TimeSeriesPanel(data=rng.standard_normal((1, 100000)))
         m = estimate_flows(p)
-        assert abs(m.self[0] - (-1.0)) < 3.0 * m.self_stderr[0]
+        assert abs(m.T[0, 0] - (-1.0)) < 3.0 * m.stderr[0, 0]
 
 
 class TestNoiseRate:
@@ -313,8 +320,6 @@ class TestSignificance:
         p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
         m = estimate_flows(p, alpha=alpha)
         np.testing.assert_array_equal(m.significant, reference_ci(m.T, m.stderr, alpha)[2])
-        np.testing.assert_array_equal(m.self_loop,
-                                      reference_ci(m.self, m.self_stderr, alpha)[2])
         assert_edge_p(build_graph(m, p).edges, alpha)
 
     @given(
@@ -357,8 +362,8 @@ class TestNodeDiagnostics:
         p = random_walk_panel(rng, d=2, n=300)
         m = estimate_flows(p, alpha=0.90)
         z = reference_z(0.90)
-        expected = abs(m.self[0]) > z * m.self_stderr[0]
-        assert m.self_loop[0] == expected
+        expected = abs(m.T[0, 0]) > z * m.stderr[0, 0]
+        assert m.significant[0, 0] == expected
         assert m.noise_rate[0] >= 0.0
 
 
@@ -382,12 +387,10 @@ class TestClosedFormMatchesOracle:
         m = estimate_flows(p, alpha=0.90)
         off = ~np.eye(d, dtype=bool)
         assert max_rel(m.T[off], ref["T"][off], normwise=True) <= 1e-12
-        assert max_rel(m.self, ref["self"], normwise=True) <= 1e-12
-        assert max_rel(m.stderr[off], ref["stderr"][off]) <= 1e-12
-        assert max_rel(m.self_stderr, ref["self_stderr"]) <= 1e-12
+        assert max_rel(np.diag(m.T), np.diag(ref["T"]), normwise=True) <= 1e-12
+        assert max_rel(m.stderr, ref["stderr"]) <= 1e-12
         assert max_rel(m.noise_rate, ref["noise_rate"]) <= 1e-12
         np.testing.assert_array_equal(m.significant, ref["significant"])
-        np.testing.assert_array_equal(m.self_loop, ref["self_loop"])
 
 
 def fit_outcome(panel, k):
@@ -474,7 +477,6 @@ class TestInputLimits:
         a = estimate_flows(TimeSeriesPanel(data=data, dt=1.0))
         b = estimate_flows(TimeSeriesPanel(data=data, dt=1e-150))
         assert np.array_equal(a.significant, b.significant)
-        assert np.array_equal(a.self_loop, b.self_loop)
         np.testing.assert_allclose(b.tau, a.tau, rtol=0, atol=1e-15)
 
     def test_covariance_overflow_is_degenerate_input(self, capfd):

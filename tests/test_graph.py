@@ -47,7 +47,9 @@ class TestReconstruct:
         assert edge_index_set(graph) == {(1, 2)}
 
     def test_no_self_edges_ever(self, var6_b1_panel):
+        # every node is a self-loop here, so every diagonal verdict is True
         graph = reconstruct(var6_b1_panel)
+        assert all(node.is_self_loop for node in graph.nodes)
         assert all(e.source != e.target for e in graph.edges)
 
     def test_white_noise_edge_count_near_alpha_complement(self):
@@ -234,10 +236,14 @@ class TestJson:
         in_graph = {(e.source, e.target) for e in graph.edges}
         for j in range(6):
             for i in range(6):
-                if j == i:
-                    continue
-                expected = matrix.significant[j, i]
+                expected = matrix.significant[j, i] and j != i
                 assert ((labels[j], labels[i]) in in_graph) == expected
+        # the node fields are the diagonals, bit for bit
+        _, a, se, loop, noise = zip(*graph.nodes)
+        assert np.array_equal(a, np.diag(matrix.T))
+        assert np.array_equal(se, np.diag(matrix.stderr))
+        assert np.array_equal(loop, np.diag(matrix.significant))
+        assert np.array_equal(noise, matrix.noise_rate)
 
     @given(causal_graphs())
     @settings(max_examples=300, deadline=None)

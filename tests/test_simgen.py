@@ -135,10 +135,11 @@ class TestSimulateRossler:
         dict(epsilon=-float("inf")),
         dict(omega=(1.015, float("nan"), 0.95)),
         dict(omega=(1.015, 0.985, float("inf"))),
-    ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf"])
+        dict(dt=float("inf")),
+    ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf"])
     def test_non_finite_parameters_rejected(self, kw):
         name = next(iter(kw))
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"{name} must be (positive and )?finite"):
             RosslerSpec(**kw)
 
     def test_strong_coupling_synchronizes_slaves(self):

@@ -160,7 +160,7 @@ class TestFitRow:
         der = derive_series(p, k=1)
         f_hat = fit_row(compute_statistics(p, der), p, der, 0).f_hat
         assert f_hat == pytest.approx(2.0, rel=1e-3)
-        assert m.self[0] == pytest.approx(3.0, rel=1e-3)
+        assert m.T[0, 0] == pytest.approx(3.0, rel=1e-3)
         assert m.g[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_scalar_least_squares_identity(self, rng):
@@ -168,7 +168,7 @@ class TestFitRow:
         p = TimeSeriesPanel(data=x[None, :])
         der = derive_series(p, k=1)
         st = compute_statistics(p, der)
-        assert estimate_flows(p).self[0] == pytest.approx(st.Cd[0, 0] / st.C[0, 0], rel=1e-12)
+        assert estimate_flows(p).T[0, 0] == pytest.approx(st.Cd[0, 0] / st.C[0, 0], rel=1e-12)
 
     def test_white_noise_target_has_no_spurious_coefficients(self):
         rng = np.random.default_rng(11)
@@ -212,7 +212,7 @@ class TestFitRow:
             a = cofactor_solution(st, i)
             np.testing.assert_allclose(fit_row(st, p, der, i).a_hat, a, rtol=1e-8)
             # the estimator's outputs are these coefficients: T[j, i] = a_ij C_ij / C_ii
-            assert m.self[i] == pytest.approx(a[i], rel=1e-8)
+            assert m.T[i, i] == pytest.approx(a[i], rel=1e-8)
             flows = np.delete(a * st.C[i] / st.C[i, i], i)
             np.testing.assert_allclose(np.delete(m.T[:, i], i), flows, rtol=1e-8)
 
@@ -227,7 +227,7 @@ class TestFitRow:
         mp, mq = estimate_flows(p), estimate_flows(q)
         np.testing.assert_allclose(mq.T, mp.T[np.ix_(perm, perm)], rtol=1e-9, atol=0.0)
         for new_i, old_i in enumerate(perm):
-            assert mq.self[new_i] == pytest.approx(mp.self[old_i], rel=1e-9)
+            assert mq.T[new_i, new_i] == pytest.approx(mp.T[old_i, old_i], rel=1e-9)
             assert mq.g[new_i] == pytest.approx(mp.g[old_i], rel=1e-9)
 
     def test_scale_covariance(self, rng):
