@@ -21,7 +21,6 @@ from .simgen import (
     ROSSLER_LABELS,
     ROSSLER_OSCILLATOR_ROWS,
     SWEEP_PAIRS,
-    SweepPoint,
     VAR6_A,
     VAR6_ALPHA,
     VAR6_EDGES,

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InfoflowError, OutputError, ParseError
 from .estimator import DEFAULT_ALPHA, estimate_flows
 from .graph import build_graph, to_dot, to_json
-from .simgen import SWEEP_PAIRS, RosslerSpec, preset_panel, sweep_epsilon
+from .simgen import ROSSLER_OSCILLATOR_ROWS, SWEEP_PAIRS, RosslerSpec, preset_panel, sweep_epsilon
 from .stats import TimeSeriesPanel
 
 
@@ -282,16 +282,13 @@ def cmd_sweep(args) -> int:
     else:
         grid = list(np.linspace(args.eps_from, args.eps_to, args.steps))
     points = sweep_epsilon(RosslerSpec(seed=args.seed), grid, alpha=args.alpha)
-    keys = [f"{src}->{dst}" for src, dst, _, _ in SWEEP_PAIRS]
-    lines = ["epsilon,"
-             + ",".join(f"T_{k.replace('->', '_to_')}" for k in keys) + ","
-             + ",".join(f"sig_{k.replace('->', '_to_')}" for k in keys)]
-    for pt in points:
-        lines.append(
-            repr(pt.epsilon) + ","
-            + ",".join(repr(pt.abs_T[k]) for k in keys) + ","
-            + ",".join(str(int(pt.significant[k])) for k in keys)
-        )
+    src, dst = np.take(ROSSLER_OSCILLATOR_ROWS, SWEEP_PAIRS).T  # panel rows of each pair
+    names = [f"{'XYZ'[a]}_to_{'XYZ'[b]}" for a, b in SWEEP_PAIRS]
+    lines = [",".join(["epsilon", *(f"T_{n}" for n in names), *(f"sig_{n}" for n in names)])]
+    for eps, matrix in points:
+        cells = [eps, *np.abs(matrix.T[src, dst]).tolist(),
+                 *matrix.significant[src, dst].astype(int).tolist()]
+        lines.append(",".join(map(repr, cells)))
     with _output(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class VarSpec:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        if self.burn_in < 0:
+            raise ValueError(f"need burn_in >= 0, got {self.burn_in}")
 
     @property
     def d(self) -> int:
@@ -86,8 +88,8 @@ class RosslerSpec:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if not all(math.isfinite(w) for w in self.omega):
-            raise ValueError(f"omega must be finite, got {self.omega}")
+        if len(self.omega) != 3 or not all(math.isfinite(w) for w in self.omega):
+            raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
         if not 0 <= self.burn_in < self.N_total:
             raise ValueError("need 0 <= burn_in < N_total")
 
@@ -184,53 +186,27 @@ def simulate_rossler(spec: RosslerSpec) -> TimeSeriesPanel:
     )
 
 
-# Ordered pairs reported by the epsilon sweep, as (source, target)
-# indices into ROSSLER_OSCILLATOR_ROWS.
-SWEEP_PAIRS = (
-    ("X", "Y", 0, 1),
-    ("Y", "X", 1, 0),
-    ("X", "Z", 0, 2),
-    ("Z", "X", 2, 0),
-    ("Y", "Z", 1, 2),
-    ("Z", "Y", 2, 1),
-)
+# (source, target) pairs the epsilon sweep reports, as indices into
+# ROSSLER_OSCILLATOR_ROWS: X->Y, Y->X, X->Z, Z->X, Y->Z, Z->Y.
+SWEEP_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """Pairwise oscillator flows at one coupling strength.
-
-    ``abs_T["X->Y"]`` is |T| from oscillator X to oscillator Y;
-    ``significant`` holds the matching z-test verdicts.
-    """
-
-    epsilon: float
-    abs_T: dict = field(default_factory=dict)
-    significant: dict = field(default_factory=dict)
+# Differencing stride for Rossler panels (deterministic chaos, densely sampled).
+ROSSLER_K = 2
 
 
 def sweep_epsilon(base: RosslerSpec, eps_grid, alpha: float = DEFAULT_ALPHA):
-    """Flow-vs-coupling table over a grid of epsilon values.
+    """(epsilon, FlowMatrix) per grid value, in grid order; epsilon is a float.
 
-    For each epsilon the full 9-variable system is simulated and
-    analyzed with stride k=2 (deterministic chaos at full sampling
-    resolution), and the six pairwise flows among the oscillator
-    representatives (x1, y1, z1) are recorded.  Fitting all 9 state
-    series keeps the slave equations linear in the regressors, which is
-    what lets the one-way coupling survive synchronization.
+    Each epsilon's full 9-variable system is simulated and analyzed with
+    stride ROSSLER_K; the oscillator flows sit at SWEEP_PAIRS mapped through
+    ROSSLER_OSCILLATOR_ROWS.  Fitting all 9 state series keeps the slave
+    equations linear in the regressors, which is what lets the one-way
+    coupling survive synchronization.
     """
     points = []
-    for eps in eps_grid:
-        spec = replace(base, epsilon=float(eps))
-        panel = simulate_rossler(spec)
-        matrix = estimate_flows(panel, k=2, alpha=alpha)
-        abs_T = {}
-        sig = {}
-        for src, dst, a, b in SWEEP_PAIRS:
-            pair = (ROSSLER_OSCILLATOR_ROWS[a], ROSSLER_OSCILLATOR_ROWS[b])
-            abs_T[f"{src}->{dst}"] = abs(float(matrix.T[pair]))
-            sig[f"{src}->{dst}"] = bool(matrix.significant[pair])
-        points.append(SweepPoint(epsilon=float(eps), abs_T=abs_T, significant=sig))
+    for eps in map(float, eps_grid):
+        panel = simulate_rossler(replace(base, epsilon=eps))
+        points.append((eps, estimate_flows(panel, k=ROSSLER_K, alpha=alpha)))
     return points
 
 
@@ -245,27 +221,22 @@ def _var6_spec(b: float, N: int, seed: int) -> VarSpec:
     )
 
 
-# Benchmark presets: name -> (builder(seed, epsilon), default stride k).
-PRESETS = {
-    "var6-b1": (lambda seed, eps: simulate_var(_var6_spec(1.0, 10000, seed)), 1),
-    "var6-b100": (lambda seed, eps: simulate_var(_var6_spec(100.0, 10000, seed)), 1),
-    "var6-b100-short": (lambda seed, eps: simulate_var(_var6_spec(100.0, 500, seed)), 1),
-    "rossler": (
-        lambda seed, eps: simulate_rossler(
-            RosslerSpec(seed=seed, epsilon=0.0 if eps is None else eps)
-        ),
-        2,
-    ),
+# VAR6 presets, stride k = 1: name -> (noise amplitude b, series length N).
+VAR6_PRESETS = {
+    "var6-b1": (1.0, 10000),
+    "var6-b100": (100.0, 10000),
+    "var6-b100-short": (100.0, 500),
 }
 
 
 def preset_panel(name: str, seed: int = 0, epsilon: float | None = None):
-    """Generate a named benchmark panel; returns (panel, default_k)."""
-    if name not in PRESETS:
-        raise ValueError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        )
-    if epsilon is not None and not name.startswith("rossler"):
+    """Panel of "rossler" or a VAR6_PRESETS name; returns (panel, default_k)."""
+    if name == "rossler":
+        spec = RosslerSpec(seed=seed, epsilon=0.0 if epsilon is None else epsilon)
+        return simulate_rossler(spec), ROSSLER_K
+    if name not in VAR6_PRESETS:
+        names = sorted([*VAR6_PRESETS, "rossler"])
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(names)}")
+    if epsilon is not None:
         raise ValueError("--epsilon applies only to the rossler preset")
-    builder, k = PRESETS[name]
-    return builder(seed, epsilon), k
+    return simulate_var(_var6_spec(*VAR6_PRESETS[name], seed)), 1

@@ -45,6 +45,9 @@ class TimeSeriesPanel:
         labels = tuple(self.labels) if self.labels else tuple(f"X{i + 1}" for i in range(d))
         if len(labels) != d:
             raise ValueError(f"{len(labels)} labels for {d} variables")
+        for label in labels:
+            if not isinstance(label, str):
+                raise ValueError(f"label {label!r} is not a string")
         if len(set(labels)) != d:
             seen = set()
             duplicate = next(s for s in labels if s in seen or seen.add(s))

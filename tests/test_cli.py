@@ -11,11 +11,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from infoflow import ParseError, TimeSeriesPanel
+from infoflow import (
+    ROSSLER_OSCILLATOR_ROWS,
+    ParseError,
+    RosslerSpec,
+    TimeSeriesPanel,
+    estimate_flows,
+    simulate_rossler,
+)
 from infoflow.cli import BLOCK_ROWS, UTF8_CHUNK_BYTES, main, read_csv_panel, write_csv_panel
 from infoflow.graph import reconstruct, to_json
 from infoflow.simgen import _var6_spec, preset_panel
 from oracles import reference_read_rows
+
+
+SWEEP_HEADER = ("epsilon,T_X_to_Y,T_Y_to_X,T_X_to_Z,T_Z_to_X,T_Y_to_Z,T_Z_to_Y,"
+                "sig_X_to_Y,sig_Y_to_X,sig_X_to_Z,sig_Z_to_X,sig_Y_to_Z,sig_Z_to_Y")
 
 
 def run(capsys, *argv):
@@ -562,14 +573,24 @@ class TestSweep:
                          "--steps", "1", "--out", str(out))
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0].startswith("epsilon,T_X_to_Y,")
+        assert lines[0] == SWEEP_HEADER
         assert len(lines) == 2
         row = lines[1].split(",")
-        assert float(row[0]) == 0.1
+        assert row[0] == "0.1"
         t_xy = float(row[1])
         t_yx = float(row[2])
         assert t_xy > 10.0 * t_yx
         assert row[7] == "1"  # sig_X_to_Y
+        # every value cell is the FlowMatrix entry between the named oscillators
+        matrix = estimate_flows(simulate_rossler(RosslerSpec(seed=0, epsilon=0.1)), k=2)
+        rows = dict(zip("XYZ", ROSSLER_OSCILLATOR_ROWS))
+        for column, cell in zip(lines[0].split(",")[1:], row[1:]):
+            kind, src, _, dst = column.split("_")
+            pair = rows[src], rows[dst]
+            if kind == "T":
+                assert cell == repr(abs(float(matrix.T[pair])))
+            else:
+                assert cell == str(int(matrix.significant[pair]))
 
     def test_zero_steps_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

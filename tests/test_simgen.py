@@ -65,6 +65,12 @@ class TestSimulateVar:
                 with pytest.raises(DivergenceError):
                     simulate_var(spec)
 
+    @pytest.mark.parametrize("d, burn_in", [(1, -10), (2, -20)])
+    def test_negative_burn_in_rejected(self, d, burn_in):
+        with pytest.raises(ValueError, match=f"need burn_in >= 0, got {burn_in}"):
+            VarSpec(A=0.5 * np.eye(d), alpha_vec=np.zeros(d), b_diag=np.ones(d),
+                    N=100, burn_in=burn_in)
+
     def test_benchmark_matrix_is_stable(self):
         assert np.max(np.abs(np.linalg.eigvals(VAR6_A))) < 1.0
 
@@ -136,7 +142,10 @@ class TestSimulateRossler:
         dict(omega=(1.015, float("nan"), 0.95)),
         dict(omega=(1.015, 0.985, float("inf"))),
         dict(dt=float("inf")),
-    ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf"])
+        dict(omega=(1.0, 2.0)),
+        dict(omega=(1.0, 2.0, 3.0, 4.0)),
+    ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf",
+            "omega-2", "omega-4"])
     def test_non_finite_parameters_rejected(self, kw):
         name = next(iter(kw))
         with pytest.raises(ValueError, match=f"{name} must be (positive and )?finite"):
@@ -158,12 +167,14 @@ class TestSimulateRossler:
 class TestSweep:
     def test_flow_direction_at_moderate_coupling(self):
         pts = sweep_epsilon(RosslerSpec(seed=0), [0.1])
-        (pt,) = pts
-        assert pt.epsilon == 0.1
-        assert pt.abs_T["X->Y"] > 10.0 * pt.abs_T["Y->X"]
-        assert pt.abs_T["X->Z"] > 10.0 * pt.abs_T["Z->X"]
-        assert pt.significant["X->Y"]
-        assert pt.significant["X->Z"]
+        ((epsilon, matrix),) = pts
+        x, y, z = ROSSLER_OSCILLATOR_ROWS
+        abs_T = np.abs(matrix.T)
+        assert epsilon == 0.1
+        assert abs_T[x, y] > 10.0 * abs_T[y, x]
+        assert abs_T[x, z] > 10.0 * abs_T[z, x]
+        assert matrix.significant[x, y]
+        assert matrix.significant[x, z]
 
 
 class TestPresets:

@@ -48,6 +48,11 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match="duplicate label 'b'"):
             TimeSeriesPanel(data=data, labels=("a", "b", "b", "a"))
 
+    def test_rejects_non_string_labels_naming_the_first(self):
+        data = np.arange(21.0).reshape(3, 7) ** 2
+        with pytest.raises(ValueError, match="label 2 is not a string"):
+            TimeSeriesPanel(data=data, labels=("a", 2, 3))
+
 
 def assert_series_major(panel):
     assert panel.data.flags.c_contiguous
