@@ -67,6 +67,8 @@ DEFAULT_ALPHA = 0.90
 # Above this condition number the covariance matrix is treated as
 # singular.
 COND_LIMIT = 1e12
+# Columns per block when the residuals are formed in place.
+RESIDUAL_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -119,8 +121,9 @@ def estimate_flows(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    # Three d x n arrays: the derived series, centred in place (dc), the
-    # centred panel columns (xc), and later the residuals.
+    # At most two d x n arrays are alive: the derived series, centred in
+    # place and later overwritten by the residuals (dc), and the centred
+    # panel columns (xc).
     dc = derive_series(panel, k)
     n, dt, labels = dc.shape[1], panel.dt, panel.labels
     if n < panel.d + 2:  # each row's d + 1 parameters would fit n samples exactly
@@ -151,10 +154,14 @@ def estimate_flows(
     A = np.linalg.solve(C, Cd).T
     Cinv = np.linalg.inv(C)
 
-    R = A @ xc
-    np.subtract(dc, R, out=R)
+    # R = dc - A xc, formed in dc one column block at a time
+    block = np.empty((panel.d, min(n, RESIDUAL_BLOCK)))
+    for s in range(0, n, RESIDUAL_BLOCK):
+        cols = slice(s, s + RESIDUAL_BLOCK)
+        R = dc[:, cols]
+        np.subtract(R, np.matmul(A, xc[:, cols], out=block[:, : R.shape[1]]), out=R)
     with np.errstate(over="ignore"):
-        g = np.einsum("ij,ij->i", R, R) * dt / n
+        g = np.einsum("ij,ij->i", dc, dc) * dt / n
         var = np.outer(g, np.diag(Cinv)) / dt / n
     # diag(Cinv) > 0, so a non-finite g_i leaves row i of var non-finite too
     big = np.flatnonzero(~np.isfinite(var).all(axis=1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from infoflow import TimeSeriesPanel, VAR6_A, VAR6_ALPHA, VarSpec, simulate_var
+from oracles import reference_var
 
 
 def var6_spec(b=1.0, N=10000, seed=0):
@@ -12,6 +13,13 @@ def var6_spec(b=1.0, N=10000, seed=0):
         N=N,
         seed=seed,
     )
+
+
+def assert_matches_reference_var(data, spec):
+    """``data`` is the step-by-step trajectory of ``spec`` up to rounding:
+    within 1e-13 of its largest |x|, where an indexing slip is off by O(1)."""
+    ref = reference_var(spec)
+    assert np.max(np.abs(data - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def random_walk_panel(rng, d=3, n=200, dt=1.0):

@@ -7,7 +7,8 @@ assembles and inverts that row's general (d+2)-square observed
 information matrix from analytic second derivatives (no vanishing cross
 terms assumed), and ``cofactor_solution`` solves the normal equations by
 explicit cofactor expansion.  ``reference_flows`` runs the per-row path
-over a whole panel, one target at a time.  ``reference_rossler`` is the
+over a whole panel, one target at a time.  ``reference_var`` is the VAR(1)
+recurrence one ``A @ x`` step at a time, and ``reference_rossler`` is the
 coupled-Rossler Heun integrator on float64 arrays.  ``reference_to_json``
 is the graph artifact as ``json.dumps(doc, indent=2)`` writes it.
 ``reference_read_rows`` is the row-at-a-time CSV panel reader whose
@@ -249,6 +250,18 @@ def reference_normalize(T, noise_rate):
     if zero.size:
         raise DegenerateNormalizerError(f"target {zero[0]}: all entropy contributions are zero")
     return Z, T / Z, noise / Z
+
+
+def reference_var(spec) -> np.ndarray:
+    """(d, N) VAR(1) trajectory of ``spec``, stepped on a time-major buffer."""
+    rng = np.random.default_rng(spec.seed)
+    noise = spec.b_diag[None, :] * rng.standard_normal((spec.N + spec.burn_in, spec.d))
+    x = rng.standard_normal(spec.d)
+    rows = np.empty_like(noise)
+    for n in range(len(rows)):
+        x = spec.alpha_vec + spec.A @ x + noise[n]
+        rows[n] = x
+    return rows[spec.burn_in :].T
 
 
 def _rossler_rhs(s, omega, eps):

@@ -18,10 +18,12 @@ from infoflow import (
     TimeSeriesPanel,
     estimate_flows,
     simulate_rossler,
+    simulate_var,
 )
 from infoflow.cli import BLOCK_ROWS, UTF8_CHUNK_BYTES, main, read_csv_panel, write_csv_panel
 from infoflow.graph import reconstruct, to_json
 from infoflow.simgen import _var6_spec, preset_panel
+from conftest import assert_matches_reference_var
 from oracles import reference_read_rows
 
 
@@ -96,28 +98,22 @@ class TestGenerate:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
-    # The var6 values depend on the BLAS kernel's summation order (see
-    # simgen), so instead of a digest the CSV is checked against the same
-    # recurrence run here on a time-major buffer: same bits, same text.
+    # simulate_var sums in blocks, in the order its BLAS kernel chooses (see
+    # simgen), so the CSV is checked against its panel bit for bit, and the
+    # panel against the step-by-step recurrence to rounding.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_var6_csv_holds_the_time_major_trajectory(self, tmp_path, capsys, seed):
         spec = _var6_spec(1.0, 10000, seed)
-        rng = np.random.default_rng(seed)
-        noise = spec.b_diag[None, :] * rng.standard_normal((spec.N + spec.burn_in, 6))
-        x = rng.standard_normal(6)
-        rows = np.empty_like(noise)
-        for n in range(len(rows)):
-            x = spec.alpha_vec + spec.A @ x + noise[n]
-            rows[n] = x
-        rows = rows[spec.burn_in:]
+        data = simulate_var(spec).data
+        assert_matches_reference_var(data, spec)
         out = tmp_path / "p.csv"
         code, _, _ = run(capsys, "generate", "var6-b1", "--seed", str(seed),
                          "--out", str(out))
         assert code == 0
         back = read_csv_panel(str(out))
-        np.testing.assert_array_equal(back.data.view(np.uint64), rows.T.view(np.uint64))
+        np.testing.assert_array_equal(back.data.view(np.uint64), data.view(np.uint64))
         expected = "t,X1,X2,X3,X4,X5,X6\n" + "".join(
-            f"{n},{','.join(map(repr, row))}\n" for n, row in enumerate(rows.tolist()))
+            f"{n},{','.join(map(repr, row))}\n" for n, row in enumerate(data.T.tolist()))
         assert out.read_text() == expected
 
     def test_non_finite_epsilon_exit_code(self, capsys):

@@ -6,16 +6,19 @@ from infoflow import (
     ROSSLER_LABELS,
     ROSSLER_OSCILLATOR_ROWS,
     RosslerSpec,
+    TimeSeriesPanel,
     VAR6_A,
+    VAR6_ALPHA,
     VarSpec,
+    estimate_flows,
     preset_panel,
     simulate_rossler,
     simulate_var,
     sweep_epsilon,
 )
 
-from conftest import var6_spec
-from oracles import reference_rossler
+from conftest import assert_matches_reference_var, var6_spec
+from oracles import reference_rossler, reference_var
 
 
 def scalar_var_spec(a, b=1.0, N=20000, seed=0):
@@ -71,8 +74,74 @@ class TestSimulateVar:
             VarSpec(A=0.5 * np.eye(d), alpha_vec=np.zeros(d), b_diag=np.ones(d),
                     N=100, burn_in=burn_in)
 
+    @pytest.mark.parametrize("kw, name", [
+        (dict(d=1, alpha_vec=[0.0, 0.0]), "alpha_vec"),
+        (dict(d=1, b_diag=[1.0, 1.0]), "b_diag"),
+        (dict(d=2, alpha_vec=[0.0]), "alpha_vec"),
+        (dict(d=2, b_diag=[1.0]), "b_diag"),
+        (dict(A=np.zeros((2, 3))), "A"),
+        (dict(A=np.zeros(2)), "A"),
+        (dict(A=[[0.5, np.nan], [0.0, 0.5]]), "A"),
+        (dict(d=1, b_diag=[np.inf]), "b_diag"),
+        (dict(d=2, alpha_vec=[0.0, np.nan]), "alpha_vec"),
+        (dict(N=-5), "N"),
+        (dict(N=0), "N"),
+        (dict(N=5.0), "N"),
+    ], ids=["alpha-2-for-d1", "b-2-for-d1", "alpha-1-for-d2", "b-1-for-d2",
+            "A-2x3", "A-1d", "A-nan", "b-inf", "alpha-nan", "N-neg", "N-0", "N-float"])
+    def test_bad_fields_rejected(self, kw, name):
+        kw = dict(kw)
+        d = kw.pop("d", 2)
+        fields = dict(A=0.5 * np.eye(d), alpha_vec=np.zeros(d), b_diag=np.ones(d), N=100)
+        with pytest.raises(ValueError, match=f"^{name} "):
+            VarSpec(**{**fields, **kw})
+
     def test_benchmark_matrix_is_stable(self):
         assert np.max(np.abs(np.linalg.eigvals(VAR6_A))) < 1.0
+
+
+def sparse_stable_spec(d=64, N=5000, seed=0):
+    """A diagonal plus 3 off-diagonal terms per row, spectral radius 0.8."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(rng.uniform(0.2, 0.5, d))
+    for i in range(d):
+        cols = rng.choice(np.delete(np.arange(d), i), 3, replace=False)
+        A[i, cols] = rng.choice((-1.0, 1.0), 3) * rng.uniform(0.2, 0.5, 3)
+    A *= 0.8 / np.max(np.abs(np.linalg.eigvals(A)))
+    return VarSpec(A=A, alpha_vec=np.zeros(d), b_diag=np.ones(d), N=N, seed=seed)
+
+
+def var6_spec_with(N, burn_in=1000, alpha_vec=np.zeros(6), b_diag=np.ones(6), seed=0):
+    return VarSpec(A=VAR6_A, alpha_vec=alpha_vec, b_diag=b_diag, N=N,
+                   burn_in=burn_in, seed=seed)
+
+
+class TestBlockedSolve:
+    """simulate_var's blocked solve against the step-by-step recurrence.
+
+    The T = N + burn_in steps run in blocks of L = isqrt(T // 2)."""
+
+    @pytest.mark.parametrize("spec", [
+        scalar_var_spec(0.9, N=3000, seed=1),
+        # T = 4, the shortest panel with d = 1, so L = 1: a block per step
+        VarSpec(A=[[0.5]], alpha_vec=[0.3], b_diag=[2.0], N=4, burn_in=0),
+        var6_spec_with(N=9, seed=2),  # T = 1009 is prime: L = 22, last block of 19
+        var6_spec_with(N=800, seed=3),  # T = 1800 is 60 blocks of L = 30
+        var6_spec_with(N=2000, burn_in=0, seed=4),
+        var6_spec_with(N=3000, alpha_vec=VAR6_ALPHA, seed=5,
+                       b_diag=np.array([0.5, 1.0, 2.0, 5.0, 10.0, 100.0])),
+        sparse_stable_spec(),
+    ], ids=["d1", "L1", "T-prime", "T-multiple-of-L", "no-burn-in",
+            "alpha-and-unequal-b", "d64-sparse"])
+    def test_matches_step_loop(self, spec):
+        assert_matches_reference_var(simulate_var(spec).data, spec)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_var6_verdicts_match_step_loop(self, seed):
+        spec = var6_spec(b=1.0, N=10000, seed=seed)
+        blocked = estimate_flows(simulate_var(spec)).significant
+        stepped = estimate_flows(TimeSeriesPanel(reference_var(spec))).significant
+        np.testing.assert_array_equal(blocked, stepped)
 
 
 class TestSimulateRossler:
