@@ -7,7 +7,6 @@ normalization, and seeded benchmark generators.
 
 from .errors import (
     DegenerateInputError,
-    DegenerateNormalizerError,
     DivergenceError,
     InfoflowError,
     OutputError,

@@ -24,20 +24,22 @@ class OutputError(InfoflowError):
 
 
 class DegenerateInputError(InfoflowError):
-    """Input data unusable for estimation (e.g. a constant series)."""
+    """Input data unusable for estimation: a constant series, one that
+    varies only by rounding noise, values too close to the float64 limit to
+    centre, or outputs too large for float64 in the input's units."""
 
     exit_code = 3
 
 
 class SingularCovarianceError(InfoflowError):
-    """Sample covariance matrix is singular or numerically near-singular."""
+    """The equilibrated sample covariance matrix is singular or numerically
+    near-singular."""
 
     exit_code = 4
 
 
 class SingularInformationError(InfoflowError):
-    """Observed information matrix is singular: a zero residual variance
-    or a non-positive coefficient variance."""
+    """Observed information matrix is singular: a zero residual variance."""
 
     exit_code = 5
 
@@ -46,9 +48,3 @@ class DivergenceError(InfoflowError):
     """A simulated trajectory blew up to non-finite or huge values."""
 
     exit_code = 6
-
-
-class DegenerateNormalizerError(InfoflowError):
-    """All contributions to a node's entropy budget are zero."""
-
-    exit_code = 7

@@ -30,8 +30,15 @@ equations give mean(u R) = 0, so c = 0, and the coefficient block of
 I^-1 is the inverse of the Schur complement of f in (dt / g) M, which is
 (dt / g) C.  Hence var(a_ij) = g_i (C^-1)_jj / (dt n).  The information
 matrix is singular, and SingularInformationError is raised, when a
-residual variance g_i is zero or any coefficient variance is <= 0.  A
-near-singular C raises SingularCovarianceError before either is formed.
+residual variance g_i is zero; C is positive definite, so no var(a_ij) is.
+
+Working units.  T, its z-test and tau are invariant under X_i -> a X_i + b
+and under a change of dt.  So the centred panel columns and the centred
+raw differences X[:, k:] - X[:, :-k] have each row scaled by the power of
+two 2^p that brings its largest |value| into [0.5, 1), and the cond check,
+the solve, g, the verdicts and tau are computed from these: there the
+source scales and dt cancel.  T, stderr and the noise rate of target i
+reach the input's units only at the end, times 2^(p_x,i - p_d,i) / (k dt).
 
 Significance is a two-sided z-test at confidence level ``alpha``: a value
 v is significant iff its CI v +- z se excludes zero, i.e. |v| > z se, with
@@ -45,7 +52,8 @@ Normalization.  Target i's entropy budget is the absolute sum
 Z_i = sum_j |T[j -> i]| + g_i / (2 C_ii), with |a_ii| at j = i, and the
 normalized flow tau[j -> i] = T[j -> i] / Z_i in [-1, 1] measures the
 relative importance of a cause; the noise and |tau| shares of Z_i sum to one.
-tau is reported alongside T: significance always comes from T and its CI.
+Z_i > 0, as its noise term is.  tau is reported alongside T: significance
+always comes from T and its CI.
 """
 
 from __future__ import annotations
@@ -55,18 +63,16 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import (
-    DegenerateInputError,
-    DegenerateNormalizerError,
-    SingularCovarianceError,
-    SingularInformationError,
-)
-from .stats import TimeSeriesPanel, derive_series
+from .errors import DegenerateInputError, SingularCovarianceError, SingularInformationError
+from .stats import TimeSeriesPanel, check_stride
 
 DEFAULT_ALPHA = 0.90
-# Above this condition number the covariance matrix is treated as
-# singular.
+# Above this condition number the equilibrated covariance matrix is treated
+# as singular.
 COND_LIMIT = 1e12
+# A series whose standard deviation is at most RESOLUTION |mean|, about 8
+# ulp of its mean, holds only rounding noise.
+RESOLUTION = 8 * np.finfo(float).eps
 # Columns per block when the residuals are formed in place.
 RESIDUAL_BLOCK = 1024
 
@@ -104,47 +110,56 @@ class FlowMatrix:
         return self.T.shape[0]
 
 
-def estimate_flows(
-    panel: TimeSeriesPanel,
-    k: int = 1,
-    alpha: float = DEFAULT_ALPHA,
-) -> FlowMatrix:
+def _equilibrate(rows: np.ndarray, labels) -> np.ndarray:
+    """Scale each row in place by the power of two 2^p that brings its
+    largest |value| into [0.5, 1), or below it if that is subnormal (p is
+    at most 1023, the largest), and return p."""
+    spread = np.maximum(rows.max(axis=1), -rows.min(axis=1))
+    bad = np.flatnonzero(~np.isfinite(spread))  # centring or differencing overflowed
+    if bad.size:
+        raise DegenerateInputError(f"variable {labels[bad[0]]!r}: values are too large for float64")
+    p = np.minimum(-np.frexp(spread)[1], 1023)
+    rows *= np.ldexp(1.0, p)[:, None]
+    return p
+
+
+def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_ALPHA) -> FlowMatrix:
     """Estimate and test the full d x d flow matrix of a panel.
 
-    A constant series, values too large or too small for a float64
-    covariance, or a residual or coefficient variance too large for
-    float64, raise DegenerateInputError, and a covariance matrix with
-    condition number above COND_LIMIT raises SingularCovarianceError.  A
-    zero residual variance or a non-positive coefficient variance raises
-    SingularInformationError.  ``alpha`` must lie in (0, 1) and
-    N - k >= d + 2.
+    DegenerateInputError is raised for a series whose std is at most
+    RESOLUTION |mean| (8 ulp; zero for a constant), values whose centring
+    overflows, and
+    a T, stderr, noise rate or g that float64 cannot hold in the input's
+    units (a tiny dt does that).  An equilibrated covariance matrix with
+    condition number above COND_LIMIT raises SingularCovarianceError, and a
+    zero residual variance SingularInformationError.  ``alpha`` must lie in
+    (0, 1) and N - k >= d + 2.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    # At most two d x n arrays are alive: the derived series, centred in
-    # place and later overwritten by the residuals (dc), and the centred
-    # panel columns (xc).
-    dc = derive_series(panel, k)
-    n, dt, labels = dc.shape[1], panel.dt, panel.labels
+    n = check_stride(panel, k)
     if n < panel.d + 2:  # each row's d + 1 parameters would fit n samples exactly
         raise ValueError(f"stride k={k} leaves N - k = {n} samples, need d + 2 = {panel.d + 2}")
-    x = panel.data[:, :n]
+    x, labels = panel.data, panel.labels
+    # Two d x n arrays: the differences (dc), centred and scaled in place and
+    # later overwritten by the residuals, and the centred panel columns (xc).
     with np.errstate(over="ignore", invalid="ignore"):
-        xc = x - x.mean(axis=1)[:, None]
+        dc = np.subtract(x[:, k:], x[:, :-k])
         dc -= dc.mean(axis=1)[:, None]
-        C = (xc @ xc.T) / n
-        Cd = (xc @ dc.T) / n
-    if not (np.isfinite(C).all() and np.isfinite(Cd).all()):
-        raise DegenerateInputError("values are too large for a float64 covariance")
-    flat = np.flatnonzero(np.diag(C) <= 0.0)
-    if flat.size:
-        i = flat[0]
-        if np.all(x[i] == x[i, 0]):
-            raise DegenerateInputError(f"variable {labels[i]!r} has zero variance")
-        # The series varies, but its squared deviations underflow to 0.
-        raise DegenerateInputError(
-            f"variable {labels[i]!r}: values are too small for a float64 covariance"
-        )
+        mean = x[:, :n].mean(axis=1)
+        xc = x[:, :n] - mean[:, None]
+    px = _equilibrate(xc, labels)
+    pd = _equilibrate(dc, labels)
+    C = (xc @ xc.T) / n
+    Cd = (xc @ dc.T) / n
+    # 0 < max_n xc_in^2 / n <= C_ii <= 1 for a varying series: C can neither
+    # overflow nor underflow
+    cii = np.diag(C)
+    with np.errstate(over="ignore"):
+        coarse = np.flatnonzero(~(np.sqrt(cii) > RESOLUTION * np.abs(mean) * np.ldexp(1.0, px)))
+    if coarse.size:
+        raise DegenerateInputError(f"variable {labels[coarse[0]]!r} has zero variance at "
+                                   "float64 resolution (std <= 8 ulp of its mean)")
 
     cond = np.linalg.cond(C)
     if not cond <= COND_LIMIT:
@@ -160,49 +175,30 @@ def estimate_flows(
         cols = slice(s, s + RESIDUAL_BLOCK)
         R = dc[:, cols]
         np.subtract(R, np.matmul(A, xc[:, cols], out=block[:, : R.shape[1]]), out=R)
-    with np.errstate(over="ignore"):
-        g = np.einsum("ij,ij->i", dc, dc) * dt / n
-        var = np.outer(g, np.diag(Cinv)) / dt / n
-    # diag(Cinv) > 0, so a non-finite g_i leaves row i of var non-finite too
-    big = np.flatnonzero(~np.isfinite(var).all(axis=1))
-    if big.size:
-        raise DegenerateInputError(
-            f"target {labels[big[0]]!r}: residual or coefficient variance "
-            "is too large for float64"
-        )
+    g = np.einsum("ij,ij->i", dc, dc) / n
     zero = np.flatnonzero(~(g > 0.0))
     if zero.size:
-        raise SingularInformationError(
-            f"target {labels[zero[0]]!r}: residual variance is zero, "
-            "information matrix undefined"
-        )
+        raise SingularInformationError(f"target {labels[zero[0]]!r}: residual variance is zero, "
+                                       "information matrix undefined")
 
-    bad = np.flatnonzero(~np.all(var > 0.0, axis=1))
-    if bad.size:
-        raise SingularInformationError(
-            f"target {labels[bad[0]]!r}: non-positive coefficient variance"
-        )
-
-    cii = np.diag(C)
     # C_ii / C_ii is exactly 1, so T[i, i] is a_ii bit for bit
     ratio = C / cii
     T = A.T * ratio
-    stderr = np.abs(ratio) * np.sqrt(var.T)
-    noise = g / (2.0 * cii)
+    # (C^-1)_jj >= 1 / C_jj >= 1 and g_i > 0: every coefficient variance is > 0
+    stderr = np.abs(ratio) * np.sqrt(np.outer(np.diag(Cinv), g) / n)
+    w = np.ldexp(1.0, px - pd)  # target i's unit of X_i per unit of its differences
+    noise = g / (2.0 * cii) * w / k
+    # Z_i >= noise_i > 0, since g_i > 0: no budget is zero
     Z = np.abs(T).sum(axis=0) + noise
-    zero = np.flatnonzero(~(Z > 0.0))
-    if zero.size:
-        raise DegenerateNormalizerError(
-            f"target {labels[zero[0]]!r}: all entropy contributions are zero"
-        )
     z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
-    return FlowMatrix(
-        T=T,
-        stderr=stderr,
-        significant=np.abs(T) > z * stderr,
-        tau=T / Z,
-        noise_rate=noise,
-        g=g,
-        alpha=alpha,
-        k=k,
-    )
+    significant = np.abs(T) > z * stderr
+    tau = T / Z
+    with np.errstate(over="ignore"):
+        T, stderr, noise = (v * w / (k * panel.dt) for v in (T, stderr, noise))
+        g = np.ldexp(g, -2 * pd) / (k * k * panel.dt)
+    big = np.flatnonzero(~np.isfinite(np.vstack([T, stderr, noise, g])).all(axis=0))
+    if big.size:
+        raise DegenerateInputError(f"target {labels[big[0]]!r}: flow or residual variance is "
+                                   "too large for float64 in the input's units")
+    return FlowMatrix(T=T, stderr=stderr, significant=significant, tau=tau,
+                      noise_rate=noise, g=g, alpha=alpha, k=k)

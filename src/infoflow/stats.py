@@ -2,8 +2,8 @@
 
 A panel holds d series of length N as one read-only, C-contiguous (d, N)
 array, one series per row, so every pass over a series reads contiguous
-memory.  ``derive_series`` is the one place the differencing stride k is
-validated and the forward differences are formed.
+memory.  ``check_stride`` is the one place the differencing stride k is
+validated, for ``derive_series`` and for the estimator.
 """
 
 from __future__ import annotations
@@ -65,16 +65,24 @@ class TimeSeriesPanel:
         return self.data.shape[1]
 
 
+def check_stride(panel: TimeSeriesPanel, k: int) -> int:
+    """N - k, the samples stride k leaves; a ValueError unless 1 <= k <= N - 2."""
+    if not 1 <= k <= panel.n - 2:
+        raise ValueError(f"stride k={k} out of range [1, {panel.n - 2}]")
+    return panel.n - k
+
+
 def derive_series(panel: TimeSeriesPanel, k: int = 1) -> np.ndarray:
     """Forward differences with stride k: entry (i, n) is
     (X[i, n+k] - X[i, n]) / (k * dt), shape (d, N - k).
 
     Column n is aligned with panel column n.  The result is a new
-    C-contiguous array owned by the caller.  k=1 is the accurate default;
-    k=2 is appropriate for densely sampled deterministic chaos.
+    C-contiguous array owned by the caller, and the only d x (N - k) array
+    allocated.  k=1 is the accurate default; k=2 is appropriate for densely
+    sampled deterministic chaos.
     """
-    n = panel.n
-    if not 1 <= k <= n - 2:
-        raise ValueError(f"stride k={k} out of range [1, {n - 2}]")
+    check_stride(panel, k)
     x = panel.data
-    return (x[:, k:] - x[:, :-k]) / (k * panel.dt)
+    out = np.subtract(x[:, k:], x[:, :-k])
+    out /= k * panel.dt
+    return out

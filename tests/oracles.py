@@ -29,7 +29,6 @@ import numpy as np
 
 from infoflow import (
     DegenerateInputError,
-    DegenerateNormalizerError,
     DivergenceError,
     ParseError,
     SingularCovarianceError,
@@ -246,9 +245,6 @@ def reference_normalize(T, noise_rate):
     T = np.asarray(T, dtype=float)
     noise = np.asarray(noise_rate, dtype=float)
     Z = np.abs(T).sum(axis=0) + noise
-    zero = np.flatnonzero(~(Z > 0.0))
-    if zero.size:
-        raise DegenerateNormalizerError(f"target {zero[0]}: all entropy contributions are zero")
     return Z, T / Z, noise / Z
 
 

@@ -502,16 +502,19 @@ class TestAnalyze:
         code, _, _ = run(capsys, *argv, "492")
         assert code == 0
 
-    def test_covariance_overflow_exit_code(self, tmp_path, capfd):
-        # nothing but the one error line reaches stderr: no RuntimeWarning
-        # and no LAPACK complaint about the non-finite matrix
-        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e155
-        path = tmp_path / "huge.csv"
-        with open(path, "w") as fh:
-            write_csv_panel(TimeSeriesPanel(data=data), fh)
-        code, _, err = run(capfd, "analyze", "--csv", str(path))
-        assert code == 3
-        assert err == "error: values are too large for a float64 covariance\n"
+    def test_extreme_scales_keep_the_edges(self, tmp_path, capfd):
+        # the estimator works in equilibrated units, so 1e-170 and 1e150
+        # times a panel give its edges, with nothing on stderr
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1)
+        edges = []
+        for scale in (1.0, 1e-170, 1e150):
+            path = tmp_path / "scaled.csv"
+            with open(path, "w") as fh:
+                write_csv_panel(TimeSeriesPanel(data=data * scale), fh)
+            code, out, err = run(capfd, "analyze", "--csv", str(path), "--format", "dot")
+            assert (code, err) == (0, "")
+            edges.append([line.split("[")[0] for line in out.splitlines() if " -> " in line])
+        assert edges[0] and edges[1] == edges[0] and edges[2] == edges[0]
 
     def test_any_stride_runs_as_the_library_runs_it(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -527,13 +530,18 @@ class TestAnalyze:
         assert exc.value.code == 2
         assert "unrecognized arguments: --allow-any-k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dt", ["1e-160", "1e-300"])
-    def test_overflowing_variance_exit_code(self, var6_csv, capsys, dt):
-        # R ~ 1/dt, so the residual variance g overflows to inf; JSON holds no inf
-        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--dt", dt)
+    @pytest.mark.parametrize("dt", ["1e-160", "1e-220", "1e-300"])
+    def test_overflowing_variance_exit_code(self, tmp_path, capfd, dt):
+        # g ~ x^2 / dt ~ 1e200 / dt has no float64: exactly one error line,
+        # and no RuntimeWarning (warnings are errors in this suite)
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e100
+        path = tmp_path / "huge.csv"
+        with open(path, "w") as fh:
+            write_csv_panel(TimeSeriesPanel(data=data), fh)
+        code, _, err = run(capfd, "analyze", "--csv", str(path), "--dt", dt)
         assert code == 3
-        assert err == ("error: target 'X1': residual or coefficient variance "
-                       "is too large for float64\n")
+        assert err == ("error: target 'X1': flow or residual variance is too large "
+                       "for float64 in the input's units\n")
 
     @pytest.mark.parametrize("fmt", ["json", "dot", "csv-matrix"])
     def test_out_dash_is_stdout(self, tmp_path, capsys, fmt):

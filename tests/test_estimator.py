@@ -7,12 +7,15 @@ from hypothesis import strategies as st_
 
 from infoflow import (
     DegenerateInputError,
+    SingularCovarianceError,
     SingularInformationError,
     TimeSeriesPanel,
     derive_series,
     estimate_flows,
 )
+from infoflow.estimator import COND_LIMIT
 from infoflow.graph import build_graph
+from infoflow.simgen import preset_panel
 
 from conftest import random_walk_panel
 from oracles import (
@@ -378,13 +381,14 @@ class TestClosedFormMatchesOracle:
         d=st_.integers(2, 8),
         n=st_.integers(60, 400),
         dt=st_.sampled_from([0.01, 0.1, 1.0, 5.0]),
+        k=st_.sampled_from([1, 2, 3]),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_general_fisher_block(self, seed, d, n, dt):
+    def test_matches_general_fisher_block(self, seed, d, n, dt, k):
         p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
-        der = derive_series(p)
+        der = derive_series(p, k)
         ref = reference_flows(compute_statistics(p, der), p, der, alpha=0.90)
-        m = estimate_flows(p, alpha=0.90)
+        m = estimate_flows(p, k=k, alpha=0.90)
         off = ~np.eye(d, dtype=bool)
         assert max_rel(m.T[off], ref["T"][off], normwise=True) <= 1e-12
         assert max_rel(np.diag(m.T), np.diag(ref["T"]), normwise=True) <= 1e-12
@@ -433,24 +437,20 @@ class TestSingularInformation:
 
 
 class TestInputLimits:
-    def test_stride_must_leave_more_samples_than_parameters(self):
+    def test_stride_must_leave_more_samples_than_parameters(self, capfd):
         # N - k <= d + 1 samples fit each row's d + 1 parameters exactly
-        # (g ~ 1e-35 at N - k = 7 here); N - k = d + 2 is the least accepted
+        # (g ~ 1e-35 at N - k = 7 here); N - k = d + 2 is the least accepted.
+        # k = N is rejected before any mean of an empty slice is taken.
         from conftest import var6_spec
         from infoflow import simulate_var
 
         p = simulate_var(var6_spec(b=1.0, N=10000, seed=0))
+        with pytest.raises(ValueError, match=r"^stride k=10000 out of range \[1, 9998\]$"):
+            estimate_flows(p, k=p.n)
+        assert capfd.readouterr().err == ""
         with pytest.raises(ValueError, match=r"stride k=9993 leaves N - k = 7 samples"):
             estimate_flows(p, k=p.n - p.d - 1)
         assert estimate_flows(p, k=p.n - p.d - 2).k == 9992
-
-    def test_covariance_underflow_is_named(self, capfd):
-        # every series varies, but C's entries (~1e-338) underflow to 0
-        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e-170
-        with pytest.raises(DegenerateInputError,
-                           match="'X1': values are too small for a float64 covariance"):
-            estimate_flows(TimeSeriesPanel(data=data))
-        assert capfd.readouterr().err == ""
 
     @pytest.mark.parametrize("level", [3.0, 1e-170])
     def test_constant_series_has_zero_variance(self, level):
@@ -459,30 +459,123 @@ class TestInputLimits:
         with pytest.raises(DegenerateInputError, match="'X2' has zero variance"):
             estimate_flows(TimeSeriesPanel(data=data))
 
-    def test_coefficient_variance_overflow_is_degenerate_input(self):
-        # g stays finite (<= 2e154), but g (C^-1)_jj / (dt n) overflows for the
-        # shrunken X1: no RuntimeWarning (warnings are errors in this suite)
-        from infoflow.simgen import preset_panel
+    def test_series_within_a_few_ulp_of_its_mean_is_rejected(self):
+        # std 1e-15 is 4.5 ulp of 1: rounding noise that equilibration would
+        # otherwise blow up to full scale
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1)
+        data[2] = 1.0 + 1e-15 * np.random.default_rng(2).standard_normal(200)
+        with pytest.raises(DegenerateInputError,
+                           match="^variable 'X3' has zero variance at float64 resolution "
+                                 r"\(std <= 8 ulp of its mean\)$"):
+            estimate_flows(TimeSeriesPanel(data=data))
+        data[2] = 1.0 + 1e-13 * np.random.default_rng(2).standard_normal(200)
+        assert estimate_flows(TimeSeriesPanel(data=data)).d == 3
 
-        data = preset_panel("var6-b100-short")[0].data * np.array([[1e-4]] + [[1.0]] * 5)
-        with pytest.raises(DegenerateInputError, match="target 'X3': residual or coefficient "
-                                                       "variance is too large for float64"):
-            estimate_flows(TimeSeriesPanel(data=data, dt=10**-150.25))
-
-    def test_small_dt_keeps_verdicts_and_tau(self):
-        # dt = 1e-160 overflows g (exit 3, see test_cli); 1e-150 does not
-        from infoflow.simgen import preset_panel
-
-        data = preset_panel("var6-b100-short")[0].data
-        a = estimate_flows(TimeSeriesPanel(data=data, dt=1.0))
-        b = estimate_flows(TimeSeriesPanel(data=data, dt=1e-150))
-        assert np.array_equal(a.significant, b.significant)
-        np.testing.assert_allclose(b.tau, a.tau, rtol=0, atol=1e-15)
-
-    def test_covariance_overflow_is_degenerate_input(self, capfd):
-        # C overflows float64: no RuntimeWarning (warnings are errors in
-        # this suite), nothing from LAPACK on stderr, and exit code 3
-        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e155
-        with pytest.raises(DegenerateInputError, match="too large for a float64 covariance"):
+    def test_values_that_overflow_when_centred(self, capfd):
+        # the row sums of 200 values near 1e307 overflow the mean
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e306
+        with pytest.raises(DegenerateInputError,
+                           match="^variable 'X1': values are too large for float64$"):
             estimate_flows(TimeSeriesPanel(data=data))
         assert capfd.readouterr().err == ""
+
+    def test_small_dt_keeps_verdicts_and_tau(self):
+        # dt enters the outputs only as the final factor 1 / (k dt)
+        data = preset_panel("var6-b100-short")[0].data
+        a = estimate_flows(TimeSeriesPanel(data=data, dt=1.0))
+        for dt in (1e-150, 1e-160, 1e-300):
+            b = estimate_flows(TimeSeriesPanel(data=data, dt=dt))
+            assert np.array_equal(a.significant, b.significant)
+            assert np.array_equal(b.tau, a.tau)
+            np.testing.assert_allclose(b.T * dt, a.T, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("preset, seed, scale, dt", [
+        # each of these exited 3, 4 or 5, or flipped a verdict, when the
+        # checks ran in the input's units
+        pytest.param("var6-b1", 2, [[1e5], [1], [1], [1e-5], [1], [1]], 1.0, id="x1*1e5-x4/1e5"),
+        pytest.param("var6-b100-short", 0, 1e-160, 1.0, id="x1e-160"),
+        pytest.param("var6-b100-short", 0, 1e-170, 1.0, id="x1e-170"),
+        pytest.param("var6-b100-short", 0, [[1e-4]] + [[1]] * 5, 10**-150.25,
+                     id="x1*1e-4-dt1e-150.25"),
+        pytest.param("var6-b100-short", 0, 1.0, 1e160, id="dt1e160"),
+        pytest.param("var6-b100-short", 0, 1.0, 1e300, id="dt1e300"),
+        pytest.param("var6-b100-short", 0, 1.9e147, 1e300, id="x1.9e147-dt1e300"),
+    ])
+    def test_extreme_units_keep_the_unit_verdicts(self, preset, seed, scale, dt):
+        data = preset_panel(preset, seed=seed)[0].data
+        unit = estimate_flows(TimeSeriesPanel(data=data))
+        m = estimate_flows(TimeSeriesPanel(data=data * np.asarray(scale), dt=dt))
+        assert np.array_equal(m.significant, unit.significant)
+        assert max_rel(m.tau, unit.tau, normwise=True) <= 1e-12
+        assert max_rel(m.T * dt, unit.T, normwise=True) <= 1e-12
+
+    def test_variance_overflow_is_degenerate_input(self, capfd):
+        # g_1 ~ 1e4 * (1e155)^2 = 1e314 has no float64 in the input's units,
+        # an honest overflow rather than one of the method; nothing on stderr
+        data = preset_panel("var6-b100-short")[0].data * 1e155
+        with pytest.raises(DegenerateInputError,
+                           match="^target 'X1': flow or residual variance is too large "
+                                 "for float64 in the input's units$"):
+            estimate_flows(TimeSeriesPanel(data=data))
+        assert capfd.readouterr().err == ""
+
+
+def equilibrated_cond(data, n):
+    """cond(C) of the first n columns, raw and with each centred row scaled
+    by the power of two that brings its largest |value| into [0.5, 1)."""
+    xc = data[:, :n] - data[:, :n].mean(axis=1)[:, None]
+    xs = xc * np.ldexp(1.0, -np.frexp(np.abs(xc).max(axis=1))[1])[:, None]
+    return np.linalg.cond(xc @ xc.T / n), np.linalg.cond(xs @ xs.T / n)
+
+
+class TestEquilibratedConditionCheck:
+    def test_cond_check_runs_on_the_equilibrated_covariance(self):
+        # Two near-collinear series whose largest deviations, 8.05 and 7.97,
+        # straddle a power of two: equilibration unbalances them, so a raw
+        # cond(C) just under COND_LIMIT becomes one above it.  van der Sluis
+        # (1969) bounds the change by a factor d.
+        rng = np.random.default_rng(3)
+        u, v = np.cumsum(rng.standard_normal(400)), rng.standard_normal(400)
+        u *= 8.05 / np.max(np.abs(u[:-1] - u[:-1].mean()))
+        near = np.vstack([u, 0.99 * u + 9e-6 * v])
+        raw, equilibrated = equilibrated_cond(near, 399)
+        assert raw < 0.9 * COND_LIMIT and equilibrated > 1.1 * COND_LIMIT
+        with pytest.raises(SingularCovarianceError, match="near-singular"):
+            estimate_flows(TimeSeriesPanel(data=near))
+        # and the reverse: the units of one series take the raw cond far
+        # above the limit, and equilibration removes them
+        far = np.vstack([u, 1e4 * (0.99 * u + 1.2e-5 * v)])
+        raw, equilibrated = equilibrated_cond(far, 399)
+        assert equilibrated < 0.9 * COND_LIMIT < 1e6 * COND_LIMIT < raw
+        assert estimate_flows(TimeSeriesPanel(data=far)).d == 2
+
+
+class TestInvariance:
+    # one map a_i x + b_i per series: log10 |a_i| in [-150, 150], the sign
+    # of a_i, and b_i / a_i in [-100, 100]
+    @given(seed=st_.integers(0, 2**32 - 1), n=st_.integers(60, 300),
+           rows=st_.lists(st_.tuples(st_.floats(-150, 150), st_.booleans(),
+                                     st_.floats(-100, 100)), min_size=2, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_affine_maps_keep_T_tau_and_verdicts(self, seed, n, rows):
+        p = random_walk_panel(np.random.default_rng(seed), d=len(rows), n=n)
+        a = np.array([(-1.0 if neg else 1.0) * 10.0 ** e for e, neg, _ in rows])[:, None]
+        b = a * np.array([c for _, _, c in rows])[:, None]
+        unit = estimate_flows(p)
+        m = estimate_flows(TimeSeriesPanel(data=a * p.data + b))
+        assert np.array_equal(m.significant, unit.significant)
+        assert max_rel(m.T, unit.T, normwise=True) <= 1e-12
+        assert max_rel(m.tau, unit.tau, normwise=True) <= 1e-12
+
+    @given(seed=st_.integers(0, 2**32 - 1), d=st_.integers(1, 5), n=st_.integers(40, 300),
+           k=st_.sampled_from([1, 2, 3]), dt=st_.floats(1e-150, 1e150))
+    @settings(max_examples=80, deadline=None)
+    def test_dt_is_a_final_factor(self, seed, d, n, k, dt):
+        data = random_walk_panel(np.random.default_rng(seed), d=d, n=n).data
+        unit = estimate_flows(TimeSeriesPanel(data=data), k=k)
+        m = estimate_flows(TimeSeriesPanel(data=data, dt=dt), k=k)
+        assert np.array_equal(m.significant, unit.significant)
+        assert np.array_equal(m.tau, unit.tau)
+        for name in ("T", "stderr", "noise_rate"):
+            np.testing.assert_allclose(getattr(m, name) * dt, getattr(unit, name),
+                                       rtol=1e-15, atol=0.0)

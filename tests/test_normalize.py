@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st_
 
-from infoflow import DegenerateNormalizerError, TimeSeriesPanel, estimate_flows
+from infoflow import TimeSeriesPanel, estimate_flows
 
 from conftest import random_walk_panel
 from oracles import reference_normalize
@@ -40,10 +40,6 @@ class TestNormalizeFlows:
         c = 17.0
         _, b, _ = normalize_target([None, 0.1 * c, -0.3 * c], -0.8 * c, 0.4 * c)
         np.testing.assert_allclose(b, a, rtol=1e-12)
-
-    def test_degenerate_normalizer(self):
-        with pytest.raises(DegenerateNormalizerError):
-            normalize_target([None, 0.0], 0.0, 0.0)
 
     @given(
         ts=st_.lists(
@@ -86,12 +82,17 @@ class TestNormalizeFlows:
     )
     @settings(max_examples=60, deadline=None)
     def test_estimator_tau_is_the_reference_normalization(self, seed, d, n, dt, scale):
-        # tau bit for bit, and the noise share and the |tau| column of each
-        # target's budget sum to one
+        # tau is formed in the estimator's equilibrated units and T in the
+        # input's: where k dt is a power of two the unit change is exact and
+        # tau is the reference bit for bit, otherwise T and the noise rates
+        # carry one rounding each.  The noise share and the |tau| column of
+        # each target's budget sum to one.
         p = random_walk_panel(np.random.default_rng(seed), d=d, n=n, dt=dt)
         m = estimate_flows(TimeSeriesPanel(data=scale * p.data, dt=dt))
         Z, tau, noise_share = reference_normalize(m.T, m.noise_rate)
-        np.testing.assert_array_equal(m.tau, tau)
+        if dt == 1.0:
+            np.testing.assert_array_equal(m.tau, tau)
+        np.testing.assert_allclose(m.tau, tau, rtol=1e-15, atol=0.0)
         total = noise_share + np.abs(m.tau).sum(axis=0)
         np.testing.assert_allclose(total, 1.0, rtol=0.0, atol=1e-12)
         # the same budget as |a_ii| + sum_{j != i} |T[j, i]| + noise_rate_i

@@ -103,8 +103,9 @@ class TestDeriveSeries:
         der = derive_series(p, k=2)
         assert der[0, 0] == 6.0
 
-    @pytest.mark.parametrize("k", [0, -1, 5, 100])
+    @pytest.mark.parametrize("k", [0, -1, 5, 6, 100])
     def test_k_out_of_range(self, k):
+        # k = 6 is N
         p = panel_from_rows([[0, 1, 2, 3, 4, 5]])
         with pytest.raises(ValueError, match="stride"):
             derive_series(p, k=k)
