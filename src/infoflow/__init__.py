@@ -30,6 +30,6 @@ from .simgen import (
     simulate_var,
     sweep_epsilon,
 )
-from .stats import TimeSeriesPanel, derive_series
+from .stats import TimeSeriesPanel
 
 __version__ = "0.1.0"

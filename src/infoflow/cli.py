@@ -341,7 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="coupling strength (rossler preset only)")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("sweep", help="Rossler coupling-strength sweep table")
+    p = sub.add_parser("sweep", help="Rossler coupling-strength sweep table", description=(
+        "Rossler coupling-strength sweep table.  Its verdicts are not calibrated: at epsilon 0 "
+        "(uncoupled), 36 of 36 flows were significant over seeds 0-5 at alpha 0.90."))
     p.add_argument("--eps-from", type=FINITE, required=True)
     p.add_argument("--eps-to", type=FINITE, required=True)
     p.add_argument("--steps", type=STEPS, required=True)

@@ -26,7 +26,8 @@ class OutputError(InfoflowError):
 class DegenerateInputError(InfoflowError):
     """Input data unusable for estimation: a constant series, one that
     varies only by rounding noise, values too close to the float64 limit to
-    centre, or outputs too large for float64 in the input's units."""
+    centre, or outputs too large or too small for float64 in the input's
+    units."""
 
     exit_code = 3
 

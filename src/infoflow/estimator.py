@@ -58,13 +58,14 @@ always comes from T and its CI.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DegenerateInputError, SingularCovarianceError, SingularInformationError
-from .stats import TimeSeriesPanel, check_stride
+from .stats import TimeSeriesPanel
 
 DEFAULT_ALPHA = 0.90
 # Above this condition number the equilibrated covariance matrix is treated
@@ -128,18 +129,32 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
 
     DegenerateInputError is raised for a series whose std is at most
     RESOLUTION |mean| (8 ulp; zero for a constant), values whose centring
-    overflows, and
-    a T, stderr, noise rate or g that float64 cannot hold in the input's
-    units (a tiny dt does that).  An equilibrated covariance matrix with
-    condition number above COND_LIMIT raises SingularCovarianceError, and a
-    zero residual variance SingularInformationError.  ``alpha`` must lie in
-    (0, 1) and N - k >= d + 2.
+    overflows, a T, stderr, noise rate or g that overflows float64 in the
+    input's units (a tiny dt does that), and a nonzero T, stderr or noise
+    rate that underflows to zero there (k dt near the float64 limit).  An
+    equilibrated covariance matrix with condition number above COND_LIMIT
+    raises SingularCovarianceError, and a zero residual variance
+    SingularInformationError.  ``alpha`` must lie in (0, 1), and the stride
+    k must be an integer in [1, N - d - 2], so that the N - k differences
+    outnumber each row's d + 1 parameters; they are kept as a Python float
+    and int.
+
+    ``stderr`` is the paper's test scale: the standard error of a_ij,
+    conditional on the sample covariance C, times |C_ij / C_ii|.  It is not
+    an uncertainty for T, whose ratio C_ij / C_ii also varies between
+    samples: as an interval, T +- z stderr covered T's mean in only 7-45%
+    of var6-b1 seeds at alpha = 0.90.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    n = check_stride(panel, k)
-    if n < panel.d + 2:  # each row's d + 1 parameters would fit n samples exactly
-        raise ValueError(f"stride k={k} leaves N - k = {n} samples, need d + 2 = {panel.d + 2}")
+    alpha = float(alpha)
+    if (1.0 + alpha) / 2.0 == 1.0:  # alpha = 1 - 2^-53, the largest double below 1
+        raise ValueError(f"alpha={alpha!r} is too close to 1: (1 + alpha) / 2 rounds to 1")
+    last = panel.n - panel.d - 2
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= last:
+        raise ValueError(f"stride k={k!r} must be an integer in [1, N - d - 2] = [1, {last}]")
+    k = int(k)
+    n = panel.n - k
     x, labels = panel.data, panel.labels
     # Two d x n arrays: the differences (dc), centred and scaled in place and
     # later overwritten by the residuals, and the centred panel columns (xc).
@@ -193,12 +208,19 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
     significant = np.abs(T) > z * stderr
     tau = T / Z
-    with np.errstate(over="ignore"):
-        T, stderr, noise = (v * w / (k * panel.dt) for v in (T, stderr, noise))
+    rates = np.vstack([T, stderr, noise])  # target i's rates in column i
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf at k dt = inf
+        scaled = rates * w / (k * panel.dt)
         g = np.ldexp(g, -2 * pd) / (k * k * panel.dt)
-    big = np.flatnonzero(~np.isfinite(np.vstack([T, stderr, noise, g])).all(axis=0))
+    big = np.flatnonzero(~np.isfinite(np.vstack([scaled, g])).all(axis=0))
     if big.size:
         raise DegenerateInputError(f"target {labels[big[0]]!r}: flow or residual variance is "
                                    "too large for float64 in the input's units")
+    # a rate lost to underflow would leave an edge with T = 0 or stderr = 0
+    lost = np.flatnonzero(((scaled == 0.0) & (rates != 0.0)).any(axis=0))
+    if lost.size:
+        raise DegenerateInputError(f"target {labels[lost[0]]!r}: flow or noise rate is "
+                                   "too small for float64 in the input's units")
+    T, stderr, noise = scaled[: panel.d], scaled[panel.d : -1], scaled[-1]
     return FlowMatrix(T=T, stderr=stderr, significant=significant, tau=tau,
                       noise_rate=noise, g=g, alpha=alpha, k=k)

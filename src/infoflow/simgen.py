@@ -248,17 +248,6 @@ def sweep_epsilon(base: RosslerSpec, eps_grid, alpha: float = DEFAULT_ALPHA):
     return points
 
 
-def _var6_spec(b: float, N: int, seed: int) -> VarSpec:
-    return VarSpec(
-        A=VAR6_A,
-        alpha_vec=VAR6_ALPHA,
-        b_diag=np.full(6, b),
-        N=N,
-        burn_in=1000,
-        seed=seed,
-    )
-
-
 # VAR6 presets, stride k = 1: name -> (noise amplitude b, series length N).
 VAR6_PRESETS = {
     "var6-b1": (1.0, 10000),
@@ -277,4 +266,6 @@ def preset_panel(name: str, seed: int = 0, epsilon: float | None = None):
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(names)}")
     if epsilon is not None:
         raise ValueError("--epsilon applies only to the rossler preset")
-    return simulate_var(_var6_spec(*VAR6_PRESETS[name], seed)), 1
+    b, N = VAR6_PRESETS[name]
+    return simulate_var(VarSpec(A=VAR6_A, alpha_vec=VAR6_ALPHA, b_diag=np.full(6, b),
+                                N=N, seed=seed)), 1

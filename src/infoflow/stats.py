@@ -1,9 +1,8 @@
-"""Time-series panels and the derived series the estimator differences.
+"""Time-series panels.
 
 A panel holds d series of length N as one read-only, C-contiguous (d, N)
 array, one series per row, so every pass over a series reads contiguous
-memory.  ``check_stride`` is the one place the differencing stride k is
-validated, for ``derive_series`` and for the estimator.
+memory.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ class TimeSeriesPanel:
 
     ``data`` has shape (d, N): one row per variable.  The panel keeps its
     own read-only, C-contiguous (series-major) float64 copy, whatever the
-    layout of the array passed in.  Series must be complete (no NaN/inf)
+    layout of the array passed in, and ``dt`` as a Python float (a bool is
+    not a time step).  Series must be complete (no NaN/inf)
     and long enough that the normal-equation system is overdetermined
     (N >= d + 3).
     """
@@ -38,6 +38,8 @@ class TimeSeriesPanel:
             raise ValueError("panel needs at least one variable row")
         if n < d + 3:
             raise ValueError(f"need N >= d + 3 samples, got N={n} for d={d}")
+        if isinstance(self.dt, (bool, np.bool_)):
+            raise ValueError(f"dt must be a number, got {self.dt}")
         if not 0 < self.dt < math.inf:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(data)):
@@ -54,6 +56,7 @@ class TimeSeriesPanel:
             raise ValueError(f"duplicate label {duplicate!r}")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -63,26 +66,3 @@ class TimeSeriesPanel:
     @property
     def n(self) -> int:
         return self.data.shape[1]
-
-
-def check_stride(panel: TimeSeriesPanel, k: int) -> int:
-    """N - k, the samples stride k leaves; a ValueError unless 1 <= k <= N - 2."""
-    if not 1 <= k <= panel.n - 2:
-        raise ValueError(f"stride k={k} out of range [1, {panel.n - 2}]")
-    return panel.n - k
-
-
-def derive_series(panel: TimeSeriesPanel, k: int = 1) -> np.ndarray:
-    """Forward differences with stride k: entry (i, n) is
-    (X[i, n+k] - X[i, n]) / (k * dt), shape (d, N - k).
-
-    Column n is aligned with panel column n.  The result is a new
-    C-contiguous array owned by the caller, and the only d x (N - k) array
-    allocated.  k=1 is the accurate default; k=2 is appropriate for densely
-    sampled deterministic chaos.
-    """
-    check_stride(panel, k)
-    x = panel.data
-    out = np.subtract(x[:, k:], x[:, :-k])
-    out /= k * panel.dt
-    return out

@@ -1,7 +1,9 @@
 """Per-row reference implementations the closed-form estimator is checked against.
 
-``compute_statistics`` gives the reference sample moments (means, C and
-Cd over the N - k aligned samples) as a ``StatisticsBundle``.
+``derive_series`` is the paper's derived series, the stride-k difference
+quotient (X[:, n + k] - X[:, n]) / (k dt).  ``compute_statistics`` gives
+the reference sample moments (means, C and Cd over the N - k aligned
+samples) as a ``StatisticsBundle``.
 ``fit_row`` solves the normal equations of one target row, ``fisher_block``
 assembles and inverts that row's general (d+2)-square observed
 information matrix from analytic second derivatives (no vanishing cross
@@ -62,6 +64,13 @@ class StatisticsBundle:
     def __post_init__(self):
         for name in ("means", "dot_means", "C", "Cd"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+
+def derive_series(panel, k=1) -> np.ndarray:
+    """Forward differences with stride k, (X[i, n+k] - X[i, n]) / (k * dt),
+    shape (d, N - k); column n is aligned with panel column n."""
+    x = panel.data
+    return (x[:, k:] - x[:, :-k]) / (k * panel.dt)
 
 
 def compute_statistics(panel, derived) -> StatisticsBundle:

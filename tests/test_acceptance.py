@@ -16,7 +16,6 @@ from infoflow import (
     ROSSLER_OSCILLATOR_ROWS,
     RosslerSpec,
     TimeSeriesPanel,
-    derive_series,
     estimate_flows,
     simulate_rossler,
     simulate_var,
@@ -24,7 +23,7 @@ from infoflow import (
 from infoflow.cli import main
 
 from conftest import var6_spec
-from oracles import compute_statistics, fisher_block, fit_row
+from oracles import compute_statistics, derive_series, fisher_block, fit_row
 
 N_SEEDS = 50
 ALPHA = 0.90

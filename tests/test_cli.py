@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from infoflow import (
@@ -22,8 +23,8 @@ from infoflow import (
 )
 from infoflow.cli import BLOCK_ROWS, UTF8_CHUNK_BYTES, main, read_csv_panel, write_csv_panel
 from infoflow.graph import reconstruct, to_json
-from infoflow.simgen import _var6_spec, preset_panel
-from conftest import assert_matches_reference_var
+from infoflow.simgen import preset_panel
+from conftest import assert_matches_reference_var, var6_spec
 from oracles import reference_read_rows
 
 
@@ -103,7 +104,7 @@ class TestGenerate:
     # panel against the step-by-step recurrence to rounding.
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_var6_csv_holds_the_time_major_trajectory(self, tmp_path, capsys, seed):
-        spec = _var6_spec(1.0, 10000, seed)
+        spec = var6_spec(b=1.0, N=10000, seed=seed)
         data = simulate_var(spec).data
         assert_matches_reference_var(data, spec)
         out = tmp_path / "p.csv"
@@ -496,9 +497,11 @@ class TestAnalyze:
     def test_stride_leaving_an_exact_fit_exit_code(self, var6_csv, capsys):
         # var6-b100-short: N = 500 rows of d = 6 series
         argv = ["analyze", "--csv", str(var6_csv), "--k"]
+        message = "error: stride k=493 must be an integer in [1, N - d - 2] = [1, 492]\n"
         code, _, err = run(capsys, *argv, "493")
-        assert code == 2
-        assert err == "error: stride k=493 leaves N - k = 7 samples, need d + 2 = 8\n"
+        assert (code, err) == (2, message)
+        code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short", "--k", "493")
+        assert (code, err) == (2, message)
         code, _, _ = run(capsys, *argv, "492")
         assert code == 0
 
@@ -568,6 +571,86 @@ class TestAnalyze:
         run(capsys, "analyze", "--preset", "var6-b100-short", "--out", str(a))
         run(capsys, "analyze", "--preset", "var6-b100-short", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+@st_.composite
+def analyze_csv_inputs(draw):
+    """CSV bytes of a small panel, with its --k, --dt and --alpha option text.
+
+    Each column is a random walk, a constant, or a near-copy of the column
+    before it, times a scale from 1e-320 to 1e310; the bytes may then be
+    cut, spliced with random bytes, given a ragged row or a repeated label.
+    """
+    d = draw(st_.integers(2, 4))
+    n = draw(st_.sampled_from(range(d + 1, 41)))
+    rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
+    data = np.cumsum(rng.standard_normal((d, n)), axis=1)
+    for i in range(d):
+        kind = draw(st_.sampled_from(["walk"] * 4 + ["constant", "near-copy"]))
+        if kind == "constant":
+            data[i] = data[i, 0]
+        elif kind == "near-copy" and i:
+            data[i] = data[i - 1] * (1.0 + 1e-14 * rng.standard_normal(n))
+    with np.errstate(over="ignore", under="ignore"):
+        data *= np.power(10.0, draw(st_.floats(-320.0, 310.0)))
+        data *= np.power(10.0, draw(st_.lists(st_.floats(-20.0, 20.0), min_size=d,
+                                              max_size=d)))[:, None]
+    lines = ["t," + ",".join(f"X{i}" for i in range(d))]
+    lines += [f"{t}," + ",".join(map(repr, row)) for t, row in enumerate(data.T.tolist())]
+    mutation = draw(st_.sampled_from(["none"] * 5 + ["splice", "ragged", "repeated-label"]))
+    if mutation == "ragged":
+        lines[draw(st_.integers(1, n))] += ",0"
+    elif mutation == "repeated-label":
+        lines[0] = lines[0].replace("X1", "X0")
+    content = ("\n".join(lines) + "\n").encode()
+    if mutation == "splice":
+        at = draw(st_.integers(0, len(content)))
+        cut = draw(st_.integers(0, 8))
+        content = content[:at] + draw(st_.binary(max_size=8)) + content[at + cut:]
+    k = draw(st_.one_of(st_.integers(1, 3), st_.integers(-2, n + 2)))
+    dt = draw(st_.one_of(
+        st_.floats(-330.0, 310.0).map(lambda e: 10.0 ** e if e < 308.25 else float("inf")),
+        st_.sampled_from([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1.0])))
+    alpha = draw(st_.one_of(
+        st_.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st_.sampled_from([0.0, 1.0, float("nan"), 5e-324, 0.9999999999999998,
+                          0.9999999999999999])))
+    return content, [f"--k={k}", f"--dt={dt!r}", f"--alpha={alpha!r}"]
+
+
+def walk_csv(scale=1.0) -> bytes:
+    """CSV bytes of two random walks of 12 steps, times ``scale``."""
+    fh = io.StringIO()
+    data = np.cumsum(np.random.default_rng(1).standard_normal((2, 12)), axis=1)
+    write_csv_panel(TimeSeriesPanel(data=data * scale), fh)
+    return fh.getvalue().encode()
+
+
+class TestAnalyzeFuzz:
+    @given(analyze_csv_inputs())
+    # k dt = inf: every rate underflowed to 0, and build_graph divided 0 by 0
+    @example((walk_csv(), ["--k=2", "--dt=1.7976931348623157e+308", "--alpha=0.9"]))
+    # and g overflowed as well: inf / inf in the conversion to the input's units
+    @example((walk_csv(1e160), ["--k=2", "--dt=1.7976931348623157e+308", "--alpha=0.5"]))
+    # (1 + alpha) / 2 rounded to 1, and NormalDist's message did not name alpha
+    @example((walk_csv(), ["--k=1", "--dt=1.0", "--alpha=0.9999999999999999"]))
+    @settings(max_examples=150, deadline=None)
+    def test_every_failure_is_one_error_line_and_a_documented_exit_code(
+            self, tmp_path_factory, case):
+        # Any warning or exception other than the documented errors fails
+        # this test: the suite turns warnings into errors.
+        content, options = case
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(content)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--csv", str(path), *options])
+        assert code in (0, 2, 3, 4, 5)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestSweep:

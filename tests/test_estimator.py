@@ -10,16 +10,16 @@ from infoflow import (
     SingularCovarianceError,
     SingularInformationError,
     TimeSeriesPanel,
-    derive_series,
     estimate_flows,
 )
 from infoflow.estimator import COND_LIMIT
-from infoflow.graph import build_graph
+from infoflow.graph import build_graph, to_json
 from infoflow.simgen import preset_panel
 
 from conftest import random_walk_panel
 from oracles import (
     compute_statistics,
+    derive_series,
     fisher_block,
     fit_row,
     reference_ci,
@@ -87,6 +87,15 @@ class TestGaussianQuantile:
         p = random_walk_panel(np.random.default_rng(0), d=2, n=100)
         with pytest.raises(ValueError, match="alpha must be in"):
             estimate_flows(p, alpha=alpha)
+
+    def test_alpha_whose_quantile_level_rounds_to_one(self):
+        # (1 + alpha) / 2 rounds to 1 at the largest double below 1, whose
+        # z would be infinite; 1 - 2^-52 still has a finite z
+        p = random_walk_panel(np.random.default_rng(0), d=2, n=100)
+        with pytest.raises(ValueError, match=r"^alpha=0\.9999999999999999 is too close to 1: "
+                                             r"\(1 \+ alpha\) / 2 rounds to 1$"):
+            estimate_flows(p, alpha=1.0 - 2.0**-53)
+        assert estimate_flows(p, alpha=1.0 - 2.0**-52).alpha == 1.0 - 2.0**-52
 
     def test_p_value_matches_quantile(self):
         assert reference_p(1.6448536269514722, 1.0) == pytest.approx(0.10, abs=1e-10)
@@ -445,12 +454,31 @@ class TestInputLimits:
         from infoflow import simulate_var
 
         p = simulate_var(var6_spec(b=1.0, N=10000, seed=0))
-        with pytest.raises(ValueError, match=r"^stride k=10000 out of range \[1, 9998\]$"):
+        message = r"must be an integer in \[1, N - d - 2\] = \[1, 9992\]$"
+        with pytest.raises(ValueError, match="^stride k=10000 " + message):
             estimate_flows(p, k=p.n)
         assert capfd.readouterr().err == ""
-        with pytest.raises(ValueError, match=r"stride k=9993 leaves N - k = 7 samples"):
+        with pytest.raises(ValueError, match="^stride k=9993 " + message):
             estimate_flows(p, k=p.n - p.d - 1)
         assert estimate_flows(p, k=p.n - p.d - 2).k == 9992
+
+    @pytest.mark.parametrize("k", [0, -3, 493, 498, 500, 10**20, True, 1.5, 2.0])
+    def test_one_stride_check_with_one_message(self, capfd, k):
+        # var6-b100-short has N = 500 and d = 6.  Whatever is wrong with k,
+        # the one message names the range, before anything is allocated
+        # (k = 500 = N would take the mean of an empty slice).
+        p, _ = preset_panel("var6-b100-short")
+        with pytest.raises(ValueError) as exc:
+            estimate_flows(p, k=k)
+        assert str(exc.value) == f"stride k={k!r} must be an integer in [1, N - d - 2] = [1, 492]"
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("k", [492, np.int64(2)])
+    def test_stride_is_stored_as_an_int(self, k):
+        p, _ = preset_panel("var6-b100-short")
+        m = estimate_flows(p, k=k)
+        assert type(m.k) is int and m.k == k
+        assert f'\n    "k": {m.k},\n' in to_json(build_graph(m, p))
 
     @pytest.mark.parametrize("level", [3.0, 1e-170])
     def test_constant_series_has_zero_variance(self, level):
@@ -518,6 +546,16 @@ class TestInputLimits:
                                  "for float64 in the input's units$"):
             estimate_flows(TimeSeriesPanel(data=data))
         assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rates_lost_to_underflow_are_degenerate_input(self, k):
+        # at dt = 1.8e308, k dt is inf and every rate ~ 1 / (k dt) is 0, and
+        # a significant edge with T = 0 and stderr = 0 has no p
+        data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1)
+        with pytest.raises(DegenerateInputError,
+                           match="^target 'X1': flow or noise rate is too small for float64 "
+                                 "in the input's units$"):
+            estimate_flows(TimeSeriesPanel(data=data, dt=1.7976931348623157e308), k=k)
 
 
 def equilibrated_cond(data, n):

@@ -245,6 +245,21 @@ class TestJson:
         assert np.array_equal(loop, np.diag(matrix.significant))
         assert np.array_equal(noise, matrix.noise_rate)
 
+    @pytest.mark.parametrize("dt,alpha,k", [
+        (np.float32(0.5), 0.9, 1),
+        (np.int64(2), 0.9, 1),
+        (1.0, np.float32(0.9), 1),
+        (1.0, 0.9, np.int64(2)),
+    ], ids=["dt-float32", "dt-int64", "alpha-float32", "k-int64"])
+    def test_numpy_scalars_reach_meta_as_python_numbers(self, dt, alpha, k):
+        from infoflow.simgen import preset_panel
+
+        base, _ = preset_panel("var6-b100-short")
+        graph = reconstruct(TimeSeriesPanel(data=base.data, dt=dt), alpha=alpha, k=k)
+        assert (type(graph.dt), type(graph.alpha), type(graph.k)) == (float, float, int)
+        assert (graph.dt, graph.alpha, graph.k) == (float(dt), float(alpha), int(k))
+        assert from_json(to_json(graph)) == graph
+
     @given(causal_graphs())
     @settings(max_examples=300, deadline=None)
     def test_same_text_as_json_dumps(self, graph):

@@ -6,7 +6,6 @@ from infoflow import (
     RosslerSpec,
     SingularCovarianceError,
     TimeSeriesPanel,
-    derive_series,
     estimate_flows,
     simulate_rossler,
     simulate_var,
@@ -14,7 +13,7 @@ from infoflow import (
 from infoflow.cli import read_csv_panel, write_csv_panel
 
 from conftest import random_walk_panel, var6_spec
-from oracles import cofactor_solution, compute_statistics, fit_row
+from oracles import cofactor_solution, compute_statistics, derive_series, fit_row
 
 
 def panel_from_rows(rows, dt=1.0):
@@ -29,6 +28,11 @@ class TestPanelValidation:
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError, match="dt"):
             panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=0.0)
+
+    @pytest.mark.parametrize("dt", [True, np.True_])
+    def test_rejects_a_bool_dt(self, dt):
+        with pytest.raises(ValueError, match="^dt must be a number, got True$"):
+            panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=dt)
 
     def test_rejects_too_short_series(self):
         with pytest.raises(ValueError, match="N >= d"):
@@ -87,6 +91,9 @@ class TestPanelLayout:
 
 
 class TestDeriveSeries:
+    """The stride-k difference quotient: the oracle's hand values, and the
+    strides the estimator, which forms the differences itself, refuses."""
+
     def test_linear_ramp_has_constant_slope(self):
         p = panel_from_rows([[0, 1, 2, 3]])
         der = derive_series(p, k=1)
@@ -103,12 +110,14 @@ class TestDeriveSeries:
         der = derive_series(p, k=2)
         assert der[0, 0] == 6.0
 
-    @pytest.mark.parametrize("k", [0, -1, 5, 6, 100])
+    @pytest.mark.parametrize("k", [0, -1, 4, 5, 6, 100])
     def test_k_out_of_range(self, k):
+        # N = 6 and d = 1 leave k in [1, 3]; k = 4 leaves N - 2 samples, and
         # k = 6 is N
         p = panel_from_rows([[0, 1, 2, 3, 4, 5]])
-        with pytest.raises(ValueError, match="stride"):
-            derive_series(p, k=k)
+        with pytest.raises(ValueError, match=rf"^stride k={k} must be an integer "
+                                             r"in \[1, N - d - 2\] = \[1, 3\]$"):
+            estimate_flows(p, k=k)
 
     def test_output_length(self, rng):
         p = random_walk_panel(rng, d=2, n=50)
