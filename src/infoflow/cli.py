@@ -318,7 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="reconstruct a causal graph")
+    p = sub.add_parser("analyze", help="reconstruct a causal graph", description=(
+        "Reconstruct a causal graph.  On the noise-free rossler preset its verdicts are not "
+        "calibrated: at epsilon 0 (uncoupled), 69 of the 72 possible edges were written at "
+        "seed 0, and all 72 at seeds 1 and 2, at alpha 0.90."))
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--csv", help="input panel CSV (time column + variables)")
     src.add_argument("--preset", help="built-in benchmark preset name")

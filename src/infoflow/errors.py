@@ -26,8 +26,7 @@ class OutputError(InfoflowError):
 class DegenerateInputError(InfoflowError):
     """Input data unusable for estimation: a constant series, one that
     varies only by rounding noise, values too close to the float64 limit to
-    centre, or outputs too large or too small for float64 in the input's
-    units."""
+    centre, or rates outside float64 at the time unit k dt."""
 
     exit_code = 3
 

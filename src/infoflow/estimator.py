@@ -88,8 +88,10 @@ class FlowMatrix:
     Their diagonals hold each node's own term: the self-influence a_ii, its
     stderr, the self-loop verdict and a_ii's share of Z_i.
 
-    Per-node arrays have length d: ``noise_rate`` (g_i / 2 C_ii) and the
-    residual variance ``g``.  All arrays are read-only.
+    The per-node array ``noise_rate`` (g_i / 2 C_ii) has length d.  Every
+    array is unchanged by a per-series affine map x_i -> a x_i + b; the
+    rates T, stderr and noise_rate are in 1 / time, so the time unit k dt
+    alone sets their scale.  All arrays are read-only.
     """
 
     T: np.ndarray
@@ -97,7 +99,6 @@ class FlowMatrix:
     significant: np.ndarray
     tau: np.ndarray
     noise_rate: np.ndarray
-    g: np.ndarray
     alpha: float
     k: int
 
@@ -129,15 +130,15 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
 
     DegenerateInputError is raised for a series whose std is at most
     RESOLUTION |mean| (8 ulp; zero for a constant), values whose centring
-    overflows, a T, stderr, noise rate or g that overflows float64 in the
-    input's units (a tiny dt does that), and a nonzero T, stderr or noise
-    rate that underflows to zero there (k dt near the float64 limit).  An
-    equilibrated covariance matrix with condition number above COND_LIMIT
-    raises SingularCovarianceError, and a zero residual variance
-    SingularInformationError.  ``alpha`` must lie in (0, 1), and the stride
-    k must be an integer in [1, N - d - 2], so that the N - k differences
-    outnumber each row's d + 1 parameters; they are kept as a Python float
-    and int.
+    overflows, and a T, stderr or noise rate that has no float64 at the
+    time unit k dt: it overflows (a tiny k dt does that) or a nonzero one
+    underflows to zero (k dt near the largest double).  An equilibrated
+    covariance matrix with condition number above COND_LIMIT raises
+    SingularCovarianceError, and a zero residual variance
+    SingularInformationError.  ``alpha`` must lie in (0, 1 - 2^-52], above
+    which (1 + alpha) / 2 rounds to 1, and the stride k must be an integer
+    in [1, N - d - 2], so that the N - k differences outnumber each row's
+    d + 1 parameters; they are kept as a Python float and int.
 
     ``stderr`` is the paper's test scale: the standard error of a_ij,
     conditional on the sample covariance C, times |C_ij / C_ii|.  It is not
@@ -145,11 +146,9 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     samples: as an interval, T +- z stderr covered T's mean in only 7-45%
     of var6-b1 seeds at alpha = 0.90.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < alpha <= 1.0 - 2.0**-52:
+        raise ValueError(f"alpha must be in (0, 1 - 2**-52], got {alpha}")
     alpha = float(alpha)
-    if (1.0 + alpha) / 2.0 == 1.0:  # alpha = 1 - 2^-53, the largest double below 1
-        raise ValueError(f"alpha={alpha!r} is too close to 1: (1 + alpha) / 2 rounds to 1")
     last = panel.n - panel.d - 2
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= last:
         raise ValueError(f"stride k={k!r} must be an integer in [1, N - d - 2] = [1, {last}]")
@@ -201,26 +200,23 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     T = A.T * ratio
     # (C^-1)_jj >= 1 / C_jj >= 1 and g_i > 0: every coefficient variance is > 0
     stderr = np.abs(ratio) * np.sqrt(np.outer(np.diag(Cinv), g) / n)
-    w = np.ldexp(1.0, px - pd)  # target i's unit of X_i per unit of its differences
-    noise = g / (2.0 * cii) * w / k
+    with np.errstate(over="ignore"):  # inf if the differences outgrow the values by 2^1023
+        w = np.ldexp(1.0, px - pd)  # target i's unit of X_i per unit of its differences
+        noise = g / (2.0 * cii) * w / k
     # Z_i >= noise_i > 0, since g_i > 0: no budget is zero
     Z = np.abs(T).sum(axis=0) + noise
     z = NormalDist().inv_cdf((1.0 + alpha) / 2.0)
     significant = np.abs(T) > z * stderr
     tau = T / Z
     rates = np.vstack([T, stderr, noise])  # target i's rates in column i
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf at k dt = inf
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf, inf / inf at w or k dt = inf
         scaled = rates * w / (k * panel.dt)
-        g = np.ldexp(g, -2 * pd) / (k * k * panel.dt)
-    big = np.flatnonzero(~np.isfinite(np.vstack([scaled, g])).all(axis=0))
-    if big.size:
-        raise DegenerateInputError(f"target {labels[big[0]]!r}: flow or residual variance is "
-                                   "too large for float64 in the input's units")
-    # a rate lost to underflow would leave an edge with T = 0 or stderr = 0
-    lost = np.flatnonzero(((scaled == 0.0) & (rates != 0.0)).any(axis=0))
+    # a rate that overflowed, or a nonzero one lost to underflow (an edge
+    # with T = 0 or stderr = 0), has no float64 at the time unit k dt
+    lost = np.flatnonzero((~np.isfinite(scaled) | ((scaled == 0.0) & (rates != 0.0))).any(axis=0))
     if lost.size:
-        raise DegenerateInputError(f"target {labels[lost[0]]!r}: flow or noise rate is "
-                                   "too small for float64 in the input's units")
+        raise DegenerateInputError(f"target {labels[lost[0]]!r}: flow or noise rate is outside "
+                                   f"float64 at k*dt = {k * panel.dt!r}")
     T, stderr, noise = scaled[: panel.d], scaled[panel.d : -1], scaled[-1]
     return FlowMatrix(T=T, stderr=stderr, significant=significant, tau=tau,
-                      noise_rate=noise, g=g, alpha=alpha, k=k)
+                      noise_rate=noise, alpha=alpha, k=k)

@@ -55,7 +55,8 @@ def report(capsys, label, ok, detail=""):
 
 
 def analyze_var6(b, N, seed):
-    """One benchmark run: edge set, per-edge |T|, self terms, key taus."""
+    """One benchmark run: edge set, per-edge |T|, self terms and their
+    stderr, key taus."""
     panel = simulate_var(var6_spec(b=b, N=N, seed=seed))
     matrix = estimate_flows(panel, k=1, alpha=ALPHA)
     edges = {(j + 1, i + 1) for j, i in zip(*np.nonzero(matrix.significant))}
@@ -64,7 +65,8 @@ def analyze_var6(b, N, seed):
     taus = {}
     for src, dst in ((6, 2), (6, 5), (4, 5), (5, 4)):
         taus[(src, dst)] = matrix.tau[src - 1, dst - 1]
-    return {"edges": edges, "abs_T": abs_T, "self": self_abs, "tau": taus}
+    return {"edges": edges, "abs_T": abs_T, "self": self_abs, "tau": taus,
+            "self_T": np.diag(matrix.T), "self_stderr": np.diag(matrix.stderr)}
 
 
 def check_recovery(capsys, label, runs, min_hits):
@@ -365,6 +367,22 @@ class TestCriterion9:
         ok = rel < 0.20
         report(capsys, "9b reported stderr vs Monte Carlo spread", ok,
                f"reported {reported:.4f}, MC {mc_spread:.4f}, rel {rel:.2f}")
+        assert ok
+
+    @pytest.mark.parametrize("fixture", ["runs_b1", "runs_short"])
+    def test_estimator_stderr_matches_monte_carlo(self, fixture, request, capsys):
+        # The estimator's own stderr of a_ii against its spread over seeds:
+        # z = (a_ii - its seed mean) / stderr_ii, pooled over 6 nodes and
+        # N_SEEDS seeds, has a standard deviation within the 9b bound of 1
+        # (each node's seed mean takes one degree of freedom).
+        runs = request.getfixturevalue(fixture)
+        runs = runs[0] if fixture == "runs_b1" else runs
+        a = np.array([r["self_T"] for r in runs])
+        z = (a - a.mean(axis=0)) / np.array([r["self_stderr"] for r in runs])
+        spread = np.sqrt(np.sum(z * z) / (z.size - z.shape[1]))
+        ok = abs(spread - 1.0) < 0.20
+        report(capsys, f"9c estimator stderr of a_ii vs Monte Carlo ({fixture})", ok,
+               f"std of pooled z {spread:.3f}")
         assert ok
 
 

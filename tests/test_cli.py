@@ -464,7 +464,7 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short",
                            "--alpha", alpha)
         assert code == 2
-        assert err == f"error: alpha must be in (0, 1), got {float(alpha)}\n"
+        assert err == f"error: alpha must be in (0, 1 - 2**-52], got {float(alpha)}\n"
 
     @pytest.fixture
     def var6_csv(self, tmp_path, capsys):
@@ -533,18 +533,31 @@ class TestAnalyze:
         assert exc.value.code == 2
         assert "unrecognized arguments: --allow-any-k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("dt", ["1e-160", "1e-220", "1e-300"])
+    @pytest.mark.parametrize("dt", ["1e-160", "1e-220", "1e-300", "5e-324"])
     def test_overflowing_variance_exit_code(self, tmp_path, capfd, dt):
-        # g ~ x^2 / dt ~ 1e200 / dt has no float64: exactly one error line,
-        # and no RuntimeWarning (warnings are errors in this suite)
+        # the residual variance g ~ x^2 / dt ~ 1e200 / dt, which has no
+        # float64 here, is not an output: the rates ~ 1 / dt fit, and the
+        # edges are those at --dt 1.  At k dt = 5e-324 the rates overflow:
+        # exactly one error line, and no RuntimeWarning (warnings are errors
+        # in this suite)
         data = np.cumsum(np.random.default_rng(1).standard_normal((3, 200)), axis=1) * 1e100
         path = tmp_path / "huge.csv"
         with open(path, "w") as fh:
             write_csv_panel(TimeSeriesPanel(data=data), fh)
-        code, _, err = run(capfd, "analyze", "--csv", str(path), "--dt", dt)
-        assert code == 3
-        assert err == ("error: target 'X1': flow or residual variance is too large "
-                       "for float64 in the input's units\n")
+        argv = ["analyze", "--csv", str(path), "--format", "dot", "--out", str(tmp_path / "g.dot")]
+        if dt == "5e-324":
+            code, _, err = run(capfd, *argv, "--dt", dt)
+            assert (code, err) == (3, "error: target 'X1': flow or noise rate is outside "
+                                      "float64 at k*dt = 5e-324\n")
+            return
+        edges = []
+        for step in ("1", dt):
+            code, _, err = run(capfd, *argv, "--dt", step)
+            assert (code, err) == (0, "")
+            dot = (tmp_path / "g.dot").read_text()
+            edges.append([line.split("[")[0].strip()
+                          for line in dot.splitlines() if " -> " in line])
+        assert edges[0] == ["X2 -> X1"] and edges[1] == edges[0]
 
     @pytest.mark.parametrize("fmt", ["json", "dot", "csv-matrix"])
     def test_out_dash_is_stdout(self, tmp_path, capsys, fmt):

@@ -173,10 +173,12 @@ class TestFitRow:
         p = TimeSeriesPanel(data=x[None, :], dt=dt)
         m = estimate_flows(p)
         der = derive_series(p, k=1)
-        f_hat = fit_row(compute_statistics(p, der), p, der, 0).f_hat
+        st = compute_statistics(p, der)
+        f_hat = fit_row(st, p, der, 0).f_hat
         assert f_hat == pytest.approx(2.0, rel=1e-3)
         assert m.T[0, 0] == pytest.approx(3.0, rel=1e-3)
-        assert m.g[0] == pytest.approx(0.0, abs=1e-8)
+        # the residual variance g = 2 C_00 noise_rate
+        assert 2.0 * st.C[0, 0] * m.noise_rate[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_scalar_least_squares_identity(self, rng):
         x = np.cumsum(rng.standard_normal(200))
@@ -214,7 +216,9 @@ class TestFitRow:
         x = p.data[:, : st.n_used]
         row = fit_row(st, p, der, 1)
         resid = der[1] - row.f_hat - row.a_hat @ x
-        assert resid @ resid == pytest.approx(m.g[1] * st.n_used / p.dt, rel=1e-10)
+        # noise_rate_i = g_i / (2 C_ii), with g_i = sum_n R_in^2 dt / n
+        assert resid @ resid == pytest.approx(
+            2.0 * st.C[1, 1] * m.noise_rate[1] * st.n_used / p.dt, rel=1e-10)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_cofactor_identity(self, d):
@@ -243,7 +247,7 @@ class TestFitRow:
         np.testing.assert_allclose(mq.T, mp.T[np.ix_(perm, perm)], rtol=1e-9, atol=0.0)
         for new_i, old_i in enumerate(perm):
             assert mq.T[new_i, new_i] == pytest.approx(mp.T[old_i, old_i], rel=1e-9)
-            assert mq.g[new_i] == pytest.approx(mp.g[old_i], rel=1e-9)
+            assert mq.noise_rate[new_i] == pytest.approx(mp.noise_rate[old_i], rel=1e-9)
 
     def test_scale_covariance(self, rng):
         p = random_walk_panel(rng, d=3, n=250)
@@ -263,4 +267,4 @@ class TestFitRow:
     def test_residual_ss_nonnegative(self, rng):
         for trial in range(10):
             p = random_walk_panel(np.random.default_rng(trial), d=2, n=60)
-            assert np.all(estimate_flows(p).g >= 0.0)
+            assert np.all(estimate_flows(p).noise_rate > 0.0)
