@@ -19,7 +19,6 @@ from .graph import CausalGraph, GraphEdge, GraphNode, from_json, reconstruct, to
 from .simgen import (
     ROSSLER_LABELS,
     ROSSLER_OSCILLATOR_ROWS,
-    SWEEP_PAIRS,
     VAR6_A,
     VAR6_ALPHA,
     VAR6_EDGES,
@@ -28,7 +27,6 @@ from .simgen import (
     preset_panel,
     simulate_rossler,
     simulate_var,
-    sweep_epsilon,
 )
 from .stats import TimeSeriesPanel
 

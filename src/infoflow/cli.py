@@ -9,8 +9,10 @@ Three subcommands:
 * ``sweep``    -- run the Rossler coupling-strength sweep and write the
   plot-ready flow table.
 
-Exit status is 0 on success and 1 when the reader closes stdout early;
-each error class maps to a distinct nonzero code (see errors.py).
+Exit status is 0 on success and 1 when the reader closes stdout early.
+A bad argument or input file, or an unwritable output, exits 2 (argparse
+usage errors, ValueError, ParseError, OutputError); each estimation or
+simulation failure class has its own code, 3 to 6 (see errors.py).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import InfoflowError, OutputError, ParseError
 from .estimator import DEFAULT_ALPHA, estimate_flows
 from .graph import build_graph, to_dot, to_json
-from .simgen import ROSSLER_OSCILLATOR_ROWS, SWEEP_PAIRS, RosslerSpec, preset_panel, sweep_epsilon
+from .simgen import ROSSLER_K, ROSSLER_OSCILLATOR_ROWS, RosslerSpec, preset_panel, simulate_rossler
 from .stats import TimeSeriesPanel
 
 
@@ -196,7 +198,9 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
     """Human-readable tables: flows with significance stars, node terms, tau."""
     d = matrix.d
     labels = panel.labels
-    width = max(10, max(len(s) for s in labels) + 1)
+    # a .3g float64 is at most 10 characters (-1.23e-308): a space still
+    # precedes every cell, a starred one too
+    width = max(12, max(len(s) for s in labels) + 1)
 
     def fmt(label):
         return f"{label:>{width}}"
@@ -210,7 +214,7 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
     out = []
     out.append(f"Information flow T[row -> col] (nats per unit time), "
                f"* = significant at alpha={matrix.alpha!r}:")
-    table(lambda j, i: f"{matrix.T[j, i]:>{width - 1}.3f}"
+    table(lambda j, i: f"{matrix.T[j, i]:>{width - 1}.3g}"
                        + ("*" if matrix.significant[j, i] else " "))
     out.append("")
     out.append("Node diagnostics:")
@@ -219,10 +223,10 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
     for i in range(d):
         out.append(
             fmt(labels[i])
-            + f"{matrix.T[i, i]:>{width}.3f}"
-            + f"{matrix.stderr[i, i]:>{width}.4f}"
+            + f"{matrix.T[i, i]:>{width}.3g}"
+            + f"{matrix.stderr[i, i]:>{width}.3g}"
             + fmt("yes" if matrix.significant[i, i] else "no")
-            + f"{matrix.noise_rate[i]:>{width}.3f}"
+            + f"{matrix.noise_rate[i]:>{width}.3g}"
         )
     out.append("")
     out.append("Normalized flows tau[row -> col] (% of target's entropy budget):")
@@ -275,17 +279,25 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# (source, target) pairs the epsilon sweep reports, as indices into
+# ROSSLER_OSCILLATOR_ROWS: X->Y, Y->X, X->Z, Z->X, Y->Z, Z->Y.  Each epsilon
+# fits all 9 state series, which keeps the slave equations linear in the
+# regressors and lets the one-way coupling survive synchronization.
+SWEEP_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
+
+
 def cmd_sweep(args) -> int:
     # linspace(a, b, 1) would turn -0.0 into 0.0, and warn on a huge span
     if args.steps == 1:
         grid = [args.eps_from]
     else:
-        grid = list(np.linspace(args.eps_from, args.eps_to, args.steps))
-    points = sweep_epsilon(RosslerSpec(seed=args.seed), grid, alpha=args.alpha)
+        grid = np.linspace(args.eps_from, args.eps_to, args.steps)
     src, dst = np.take(ROSSLER_OSCILLATOR_ROWS, SWEEP_PAIRS).T  # panel rows of each pair
     names = [f"{'XYZ'[a]}_to_{'XYZ'[b]}" for a, b in SWEEP_PAIRS]
     lines = [",".join(["epsilon", *(f"T_{n}" for n in names), *(f"sig_{n}" for n in names)])]
-    for eps, matrix in points:
+    for eps in map(float, grid):  # repr of a Python float, not of np.float64
+        matrix = estimate_flows(simulate_rossler(RosslerSpec(seed=args.seed, epsilon=eps)),
+                                k=ROSSLER_K, alpha=args.alpha)
         cells = [eps, *np.abs(matrix.T[src, dst]).tolist(),
                  *matrix.significant[src, dst].astype(int).tolist()]
         lines.append(",".join(map(repr, cells)))

@@ -1,7 +1,9 @@
 """Exception hierarchy for infoflow.
 
-Every error class carries a distinct process exit code so the CLI can
-report failures in a machine-checkable way.
+Every error class carries the process exit code the CLI returns for it.
+The input and output errors, ParseError and OutputError, share code 2 with
+the CLI's bad-argument ValueError; each estimation or simulation failure
+has its own code, 3 to 6.
 """
 
 

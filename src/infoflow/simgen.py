@@ -22,12 +22,11 @@ import math
 import numbers
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
-from .estimator import DEFAULT_ALPHA, estimate_flows
 from .stats import TimeSeriesPanel
 
 # 6-node benchmark network: cycles (1,2,3) and (4,5), confounder X6.
@@ -43,9 +42,10 @@ VAR6_A = np.array(
 )
 VAR6_ALPHA = np.array([0.1, 0.7, 0.5, 0.2, 0.8, 0.3])
 
-# True edge set of the VAR6 network, as 1-based (source, target) pairs.
+# True edge set of the VAR6 network, as 1-based (source, target) pairs:
+# A[i, j] != 0 off the diagonal is an edge j -> i.
 VAR6_EDGES = frozenset(
-    {(1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (6, 2), (6, 5)}
+    (int(j) + 1, int(i) + 1) for i, j in zip(*np.nonzero(VAR6_A)) if i != j
 )
 
 DIVERGENCE_LIMIT = 1e6
@@ -224,28 +224,8 @@ def simulate_rossler(spec: RosslerSpec) -> TimeSeriesPanel:
     )
 
 
-# (source, target) pairs the epsilon sweep reports, as indices into
-# ROSSLER_OSCILLATOR_ROWS: X->Y, Y->X, X->Z, Z->X, Y->Z, Z->Y.
-SWEEP_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
-
 # Differencing stride for Rossler panels (deterministic chaos, densely sampled).
 ROSSLER_K = 2
-
-
-def sweep_epsilon(base: RosslerSpec, eps_grid, alpha: float = DEFAULT_ALPHA):
-    """(epsilon, FlowMatrix) per grid value, in grid order; epsilon is a float.
-
-    Each epsilon's full 9-variable system is simulated and analyzed with
-    stride ROSSLER_K; the oscillator flows sit at SWEEP_PAIRS mapped through
-    ROSSLER_OSCILLATOR_ROWS.  Fitting all 9 state series keeps the slave
-    equations linear in the regressors, which is what lets the one-way
-    coupling survive synchronization.
-    """
-    points = []
-    for eps in map(float, eps_grid):
-        panel = simulate_rossler(replace(base, epsilon=eps))
-        points.append((eps, estimate_flows(panel, k=ROSSLER_K, alpha=alpha)))
-    return points
 
 
 # VAR6 presets, stride k = 1: name -> (noise amplitude b, series length N).

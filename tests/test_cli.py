@@ -42,15 +42,15 @@ def run(capsys, *argv):
 WIDE_SUMMARY = """\
 Information flow T[row -> col] (nats per unit time), * = significant at alpha=0.9:
               a_long_label            y            z
- a_long_label            .      -0.001       -0.008*
-            y       0.005             .       0.034*
-            z       0.000       -0.001             .
+ a_long_label            .    -0.00061      -0.0079*
+            y     0.00536             .      0.0343*
+            z    6.03e-05      -0.0014             .
 
 Node diagnostics:
          node       dH*/dt       stderr    self-loop        noise
- a_long_label       -0.014       0.0081          yes        0.003
-            y       -0.005       0.0087           no        0.003
-            z       -0.037       0.0110          yes        0.011
+ a_long_label      -0.0138       0.0081          yes      0.00307
+            y     -0.00464      0.00874           no      0.00251
+            z      -0.0366        0.011          yes       0.0108
 
 Normalized flows tau[row -> col] (% of target's entropy budget):
               a_long_label            y            z
@@ -569,7 +569,7 @@ class TestAnalyze:
         assert run(capsys, *argv, "--out", "-") == (0, want, "")
 
     def test_summary_with_wide_labels(self, tmp_path, capsys):
-        # a label longer than 10 characters widens every column to len + 1
+        # a label longer than 11 characters widens every column to len + 1
         data = np.cumsum(np.random.default_rng(7).standard_normal((3, 400)), axis=1)
         path = tmp_path / "wide.csv"
         with open(path, "w") as fh:
@@ -577,6 +577,20 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--csv", str(path), "--out", str(tmp_path / "g"))
         assert code == 0
         assert out == WIDE_SUMMARY
+
+    @pytest.mark.parametrize("dt", ["1e-200", "1", "1e200"])
+    def test_summary_flows_keep_their_columns_and_values(self, var6_csv, tmp_path, capsys, dt):
+        code, out, _ = run(capsys, "analyze", "--csv", str(var6_csv), "--dt", dt,
+                           "--out", str(tmp_path / "g"))
+        assert code == 0
+        T = estimate_flows(read_csv_panel(str(var6_csv), dt=float(dt))).T
+        rows = out.splitlines()[2:8]
+        for j, row in enumerate(rows):
+            fields = row.split()
+            assert len(fields) == 7
+            for i, cell in enumerate(fields[1:]):
+                if i != j:
+                    assert float(cell.rstrip("*")) == pytest.approx(T[j, i], rel=1e-2, abs=0.0)
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.json"

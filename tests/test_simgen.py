@@ -9,13 +9,14 @@ from infoflow import (
     TimeSeriesPanel,
     VAR6_A,
     VAR6_ALPHA,
+    VAR6_EDGES,
     VarSpec,
     estimate_flows,
     preset_panel,
     simulate_rossler,
     simulate_var,
-    sweep_epsilon,
 )
+from infoflow.simgen import ROSSLER_K
 
 from conftest import assert_matches_reference_var, var6_spec
 from oracles import reference_rossler, reference_var
@@ -235,11 +236,9 @@ class TestSimulateRossler:
 
 class TestSweep:
     def test_flow_direction_at_moderate_coupling(self):
-        pts = sweep_epsilon(RosslerSpec(seed=0), [0.1])
-        ((epsilon, matrix),) = pts
+        matrix = estimate_flows(simulate_rossler(RosslerSpec(seed=0, epsilon=0.1)), k=ROSSLER_K)
         x, y, z = ROSSLER_OSCILLATOR_ROWS
         abs_T = np.abs(matrix.T)
-        assert epsilon == 0.1
         assert abs_T[x, y] > 10.0 * abs_T[y, x]
         assert abs_T[x, z] > 10.0 * abs_T[z, x]
         assert matrix.significant[x, y]
@@ -247,6 +246,10 @@ class TestSweep:
 
 
 class TestPresets:
+    def test_var6_edges_are_the_off_diagonal_couplings(self):
+        assert VAR6_EDGES == {(1, 2), (2, 3), (3, 1), (4, 5), (5, 4), (6, 2), (6, 5)}
+        assert all(type(v) is int for edge in VAR6_EDGES for v in edge)
+
     def test_var6_b1_matches_direct_call(self):
         panel, k = preset_panel("var6-b1", seed=5)
         direct = simulate_var(var6_spec(b=1.0, N=10000, seed=5))
