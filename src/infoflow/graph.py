@@ -4,7 +4,8 @@
 target row, test every ordered pair for significance, keep the
 significant pairs as directed edges, and annotate self-loop nodes.
 The full flow matrix (significant or not) is retained for the JSON
-output; DOT shows only the significant edges.
+output, schema v2, which holds the nodes and edges as columns; DOT shows
+only the significant edges.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from .estimator import DEFAULT_ALPHA, FlowMatrix, estimate_flows
 from .stats import TimeSeriesPanel
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # The records are named tuples rather than frozen dataclasses: building one
@@ -129,7 +128,8 @@ def _dot_id(label: str) -> str:
 def to_dot(graph: CausalGraph) -> str:
     """Serialize the significant-edge graph as Graphviz DOT text.
 
-    Edge labels carry T (3 decimals) and tau (percent, 1 decimal);
+    Edge labels carry T (3 significant digits, as the ``analyze`` summary
+    prints it) and tau (percent, 1 decimal);
     self-loop nodes are drawn with doubled peripheries.  Output
     ordering is deterministic: nodes by index, edges by (source,
     target) index.
@@ -141,7 +141,7 @@ def to_dot(graph: CausalGraph) -> str:
             attrs.append("peripheries=2")
         lines.append(f"  {_dot_id(node.label)} [{', '.join(attrs)}];")
     for edge in graph.edges:
-        label = f"{edge.T:.3f} ({100.0 * edge.tau:.1f}%)"
+        label = f"{edge.T:.3g} ({100.0 * edge.tau:.1f}%)"
         lines.append(
             f'  {_dot_id(edge.source)} -> {_dot_id(edge.target)} [label="{label}"];'
         )
@@ -149,79 +149,49 @@ def to_dot(graph: CausalGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The C encoder, which json.dumps uses only without an indent, formats the
-# scalars; strings never go through it (see to_json).
-_encode_scalars = json.JSONEncoder(separators=(",", ":")).encode
-_quote = json.encoder.encode_basestring_ascii
-
-
-def _array(items: list, indent: str) -> str:
-    """JSON array text of ``items``, one per line at ``indent``, as ``indent=2`` lays it out."""
-    if not items:
-        return "[]"
-    return f"[\n{indent}" + f",\n{indent}".join(items) + f"\n{indent[:-2]}]"
+def _columns(fields: tuple, records: tuple) -> dict:
+    """One list per field, keyed by field name; every column is present even with no records."""
+    return dict(zip(fields, zip(*records) if records else [()] * len(fields)))
 
 
 def to_json(graph: CausalGraph) -> str:
     """Serialize the full graph (metadata, nodes, flow matrix, edges).
 
-    The text is ``json.dumps(doc, indent=2) + "\\n"`` of the document
-    ``{"meta": {...}, "nodes": [...], "flow_matrix": [...], "edges": [...]}``.
-    Every number, boolean and null is formatted by one call of the C
-    encoder and the pieces are spliced into that layout; labels are
-    quoted as ``ensure_ascii`` quotes them.
+    The text is ``json.dumps(doc, separators=(",", ":")) + "\\n"``, one
+    line, of the schema v2 document ``{"meta": {...}, "nodes": {...},
+    "flow_matrix": [...], "edges": {...}}``.  ``nodes`` and ``edges``
+    are columnar: one list per ``GraphNode``/``GraphEdge`` field, keyed
+    by field name.
     """
-    nodes, edges, rows = graph.nodes, graph.edges, graph.flow_matrix
-    scalars = [len(nodes), graph.n, graph.dt, graph.k, graph.alpha, SCHEMA_VERSION]
-    # node[1:] and edge[2:] are the numeric fields, in declaration order.
-    for node in nodes:
-        scalars += node[1:]
-    for row in rows:
-        scalars += row
-    for edge in edges:
-        scalars += edge[2:]
-    # Numbers and literals hold no comma, so there is one piece per scalar.
-    pieces = _encode_scalars(scalars)[1:-1].split(",")
-    if len(pieces) != len(scalars):
-        raise TypeError("graph values must be numbers, booleans or None")
-    it = iter(pieces)
-    d, n, dt, k, alpha, version = islice(it, 6)
-    node_items = [
-        f'{{\n      "label": {_quote(node.label)},\n      "self_influence": {a},\n'
-        f'      "self_stderr": {se},\n      "is_self_loop": {loop},\n'
-        f'      "noise_rate": {noise}\n    }}'
-        for node, (a, se, loop, noise) in zip(nodes, zip(it, it, it, it))
-    ]
-    row_items = [_array(list(islice(it, len(row))), "      ") for row in rows]
-    edge_items = [
-        f'{{\n      "source": {_quote(edge.source)},\n      "target": {_quote(edge.target)},\n'
-        f'      "T": {t},\n      "stderr": {se},\n      "p": {p},\n      "tau": {tau}\n    }}'
-        for edge, (t, se, p, tau) in zip(edges, zip(it, it, it, it))
-    ]
-    return (
-        f'{{\n  "meta": {{\n    "d": {d},\n    "N": {n},\n    "dt": {dt},\n'
-        f'    "k": {k},\n    "alpha": {alpha},\n    "schema_version": {version}\n  }},\n'
-        f'  "nodes": {_array(node_items, "    ")},\n'
-        f'  "flow_matrix": {_array(row_items, "    ")},\n'
-        f'  "edges": {_array(edge_items, "    ")}\n}}\n'
-    )
+    doc = {
+        "meta": {"d": len(graph.nodes), "N": graph.n, "dt": graph.dt, "k": graph.k,
+                 "alpha": graph.alpha, "schema_version": SCHEMA_VERSION},
+        "nodes": _columns(GraphNode._fields, graph.nodes),
+        "flow_matrix": graph.flow_matrix,
+        "edges": _columns(GraphEdge._fields, graph.edges),
+    }
+    return json.dumps(doc, separators=(",", ":")) + "\n"
+
+
+def _records(record: type, columns: dict) -> tuple:
+    """The records of a columnar table; columns of unequal length raise ValueError."""
+    return tuple(map(record._make, zip(*map(columns.__getitem__, record._fields), strict=True)))
 
 
 def from_json(text: str) -> CausalGraph:
-    """Parse ``to_json`` output back into an identical CausalGraph."""
+    """Parse ``to_json`` output back into an identical CausalGraph.
+
+    Only schema v2 is read; any other ``schema_version``, and node or
+    edge columns of unequal length, raise ValueError.
+    """
     doc = json.loads(text)
     meta = doc["meta"]
     if meta.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {meta.get('schema_version')!r}")
-    # itemgetter hands _make exact-size tuples; a length-less iterator would
-    # over-allocate every record (wide-fit peak RSS +0.3 MB)
-    nodes = tuple(map(GraphNode._make, map(itemgetter(*GraphNode._fields), doc["nodes"])))
-    edges = tuple(map(GraphEdge._make, map(itemgetter(*GraphEdge._fields), doc["edges"])))
-    flow_matrix = tuple(tuple(row) for row in doc["flow_matrix"])
     return CausalGraph(
-        nodes=nodes,
-        edges=edges,
-        flow_matrix=flow_matrix,
+        nodes=_records(GraphNode, doc["nodes"]),
+        edges=_records(GraphEdge, doc["edges"]),
+        flow_matrix=tuple(map(tuple, doc["flow_matrix"])),
         alpha=meta["alpha"],
         k=meta["k"],
         dt=meta["dt"],

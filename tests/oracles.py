@@ -11,8 +11,8 @@ terms assumed), and ``cofactor_solution`` solves the normal equations by
 explicit cofactor expansion.  ``reference_flows`` runs the per-row path
 over a whole panel, one target at a time.  ``reference_var`` is the VAR(1)
 recurrence one ``A @ x`` step at a time, and ``reference_rossler`` is the
-coupled-Rossler Heun integrator on float64 arrays.  ``reference_to_json``
-is the graph artifact as ``json.dumps(doc, indent=2)`` writes it.
+coupled-Rossler Heun integrator on float64 arrays.  ``reference_doc``
+is the graph artifact's schema v2 document, built field by field.
 ``reference_read_rows`` is the row-at-a-time CSV panel reader whose
 acceptance rule and messages ``cli.read_csv_panel`` must reproduce.
 ``reference_z``, ``reference_ci`` and ``reference_p`` are the z-test as CI
@@ -22,7 +22,6 @@ arithmetic on ``statistics.NormalDist`` and ``math.erfc``, and
 
 import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -303,41 +302,35 @@ def reference_rossler(spec, limit=1e6) -> np.ndarray:
     return out[spec.burn_in :].T
 
 
-def reference_to_json(graph) -> str:
-    """The JSON artifact of ``graph``, formatted by ``json.dumps(doc, indent=2)``."""
-    doc = {
+def reference_doc(graph) -> dict:
+    """The schema v2 document of ``graph``: nodes and edges as columns, one list per field."""
+    nodes, edges = graph.nodes, graph.edges
+    return {
         "meta": {
-            "d": len(graph.nodes),
+            "d": len(nodes),
             "N": graph.n,
             "dt": graph.dt,
             "k": graph.k,
             "alpha": graph.alpha,
             "schema_version": SCHEMA_VERSION,
         },
-        "nodes": [
-            {
-                "label": node.label,
-                "self_influence": node.self_influence,
-                "self_stderr": node.self_stderr,
-                "is_self_loop": node.is_self_loop,
-                "noise_rate": node.noise_rate,
-            }
-            for node in graph.nodes
-        ],
+        "nodes": {
+            "label": [node.label for node in nodes],
+            "self_influence": [node.self_influence for node in nodes],
+            "self_stderr": [node.self_stderr for node in nodes],
+            "is_self_loop": [node.is_self_loop for node in nodes],
+            "noise_rate": [node.noise_rate for node in nodes],
+        },
         "flow_matrix": [list(row) for row in graph.flow_matrix],
-        "edges": [
-            {
-                "source": edge.source,
-                "target": edge.target,
-                "T": edge.T,
-                "stderr": edge.stderr,
-                "p": edge.p,
-                "tau": edge.tau,
-            }
-            for edge in graph.edges
-        ],
+        "edges": {
+            "source": [edge.source for edge in edges],
+            "target": [edge.target for edge in edges],
+            "T": [edge.T for edge in edges],
+            "stderr": [edge.stderr for edge in edges],
+            "p": [edge.p for edge in edges],
+            "tau": [edge.tau for edge in edges],
+        },
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def reference_read_rows(path: str):

@@ -403,5 +403,5 @@ class TestCriterion10:
                f"json={paths['json']}, dot={paths['dot']}")
         # sanity: the JSON artifact parses and carries the schema version
         doc = json.loads((tmp_path / "a.json").read_text())
-        assert doc["meta"]["schema_version"] == 1
+        assert doc["meta"]["schema_version"] == 2
         assert ok

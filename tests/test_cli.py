@@ -396,7 +396,7 @@ class TestAnalyze:
         doc = json.loads(out.read_text())
         assert doc["meta"]["d"] == 6
         assert doc["meta"]["k"] == 1
-        assert len(doc["edges"]) == 7
+        assert len(doc["edges"]["T"]) == 7
 
     def test_csv_input_matches_preset(self, tmp_path, capsys):
         panel_csv = tmp_path / "p.csv"

@@ -1,6 +1,8 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st_
 
 from infoflow import (
@@ -15,7 +17,11 @@ from infoflow import (
     to_json,
 )
 
-from oracles import reference_to_json
+from oracles import reference_doc
+
+
+def reference_text(graph):
+    return json.dumps(reference_doc(graph), separators=(",", ":")) + "\n"
 
 
 def edge_index_set(graph):
@@ -111,7 +117,7 @@ class TestDot:
         edge = GraphEdge(source="A", target="B", T=0.19, stderr=0.003,
                          p=0.0, tau=0.132)
         dot = to_dot(tiny_graph([edge]))
-        assert 'A -> B [label="0.190 (13.2%)"];' in dot
+        assert 'A -> B [label="0.19 (13.2%)"];' in dot
 
     def test_self_loop_styling(self):
         dot = to_dot(tiny_graph())
@@ -152,7 +158,7 @@ class TestDot:
             r'  "q\"d" [label="q\"d"];' "\n"
             r'  "b\\" [label="b\\"];' "\n"
             '  "c\n" [label="c\n"];\n'
-            r'  "q\"d" -> "b\\" [label="0.500 (25.0%)"];' "\n"
+            r'  "q\"d" -> "b\\" [label="0.5 (25.0%)"];' "\n"
             "}\n"
         )
 
@@ -211,20 +217,29 @@ def causal_graphs(draw, finite=False):
 class TestJson:
     def test_round_trip_identity(self, var6_b1_panel):
         graph = reconstruct(var6_b1_panel)
-        assert to_json(graph) == reference_to_json(graph)
+        assert to_json(graph) == reference_text(graph)
         assert from_json(to_json(graph)) == graph
 
     def test_metadata_recorded(self, var6_b1_panel):
-        import json
-
         doc = json.loads(to_json(reconstruct(var6_b1_panel, alpha=0.90, k=1)))
         assert doc["meta"]["alpha"] == 0.90
         assert doc["meta"]["k"] == 1
         assert doc["meta"]["d"] == 6
-        assert doc["meta"]["schema_version"] == 1
-        assert len(doc["edges"]) == 7
+        assert doc["meta"]["schema_version"] == 2
+        assert len(doc["edges"]["T"]) == 7
         assert len(doc["flow_matrix"]) == 6
         assert all(row[i] is None for i, row in enumerate(doc["flow_matrix"]))
+
+    def test_exact_text(self):
+        edge = GraphEdge(source="A", target="B", T=0.19, stderr=0.003, p=0.0, tau=0.132)
+        assert to_json(tiny_graph([edge])) == (
+            '{"meta":{"d":2,"N":100,"dt":1.0,"k":1,"alpha":0.9,"schema_version":2},'
+            '"nodes":{"label":["A","B"],"self_influence":[-1.0,0.01],'
+            '"self_stderr":[0.1,0.1],"is_self_loop":[true,false],"noise_rate":[0.5,0.4]},'
+            '"flow_matrix":[[null,0.19],[0.002,null]],'
+            '"edges":{"source":["A"],"target":["B"],"T":[0.19],"stderr":[0.003],'
+            '"p":[0.0],"tau":[0.132]}}\n'
+        )
 
     def test_edges_match_significance(self, var6_b1_panel):
         from infoflow import estimate_flows
@@ -263,24 +278,34 @@ class TestJson:
     @given(causal_graphs())
     @settings(max_examples=300, deadline=None)
     def test_same_text_as_json_dumps(self, graph):
-        assert to_json(graph) == reference_to_json(graph)
+        assert to_json(graph) == reference_text(graph)
 
     @given(causal_graphs(finite=True))
+    @example(CausalGraph(nodes=(), edges=(), flow_matrix=(), alpha=0.9, k=1, dt=1.0, n=0))
+    @example(tiny_graph())
     @settings(max_examples=100, deadline=None)
     def test_round_trip_identity_of_any_finite_graph(self, graph):
         assert from_json(to_json(graph)) == graph
 
-    def test_string_value_rejected(self):
+    def test_string_value_round_trips(self):
         node = GraphNode("A", "1,2", 0.1, True, 0.5)
         graph = CausalGraph(nodes=(node,), edges=(), flow_matrix=((None,),),
                             alpha=0.9, k=1, dt=1.0, n=10)
-        with pytest.raises(TypeError, match="numbers, booleans or None"):
-            to_json(graph)
+        assert from_json(to_json(graph)) == graph
 
-    def test_unsupported_schema_version(self):
-        text = to_json(tiny_graph()).replace('"schema_version": 1', '"schema_version": 99')
-        with pytest.raises(ValueError, match="schema_version"):
+    @pytest.mark.parametrize("version", [99, 1])
+    def test_unsupported_schema_version(self, version):
+        text = to_json(tiny_graph()).replace('"schema_version":2', f'"schema_version":{version}')
+        with pytest.raises(ValueError, match=f"schema_version {version}"):
             from_json(text)
+
+    @pytest.mark.parametrize("table,column", [("nodes", "noise_rate"), ("edges", "tau")])
+    def test_ragged_columns_rejected(self, table, column):
+        edge = GraphEdge(source="A", target="B", T=0.19, stderr=0.003, p=0.0, tau=0.132)
+        doc = json.loads(to_json(tiny_graph([edge])))
+        doc[table][column].pop()
+        with pytest.raises(ValueError, match="shorter"):
+            from_json(json.dumps(doc))
 
 
 class TestDeterminism:
