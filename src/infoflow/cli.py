@@ -18,7 +18,6 @@ simulation failure class has its own code, 3 to 6 (see errors.py).
 from __future__ import annotations
 
 import argparse
-import codecs
 import contextlib
 import csv
 import itertools
@@ -38,8 +37,6 @@ from .stats import TimeSeriesPanel
 
 # Records per block, read or written: bounds the Python objects alive at once.
 BLOCK_ROWS = 1024
-# Bytes per chunk of the UTF-8 check.
-UTF8_CHUNK_BYTES = 1 << 16
 
 
 def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
@@ -50,11 +47,12 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     variable indices.  The file must be UTF-8 text, and every other cell
     must be one that ``float()`` reads as a finite number.
 
-    Records are read in one pass, BLOCK_ROWS at a time, and the value
-    cells of each block are cast to float64 at once.
+    The file is opened once and read in one pass, so the path may name a
+    pipe.  Lines are split as latin-1 and each non-ASCII line is decoded
+    as UTF-8; records are taken BLOCK_ROWS at a time, and the value cells
+    of each block are cast to float64 at once.
     """
     try:
-        _check_utf8(path)
         labels, data = _read_records(path)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
@@ -64,34 +62,29 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _check_utf8(path: str) -> None:
-    """Raise ParseError naming the file offset of the first byte that is not UTF-8.
+def _utf8_lines(fh, path: str):
+    """The lines of a latin-1 text file, each decoded as UTF-8.
 
-    The file is decoded in UTF8_CHUNK_BYTES chunks and the text discarded.
+    Latin-1 reads one character per byte, and no UTF-8 sequence holds a
+    CR or LF byte: the lines and their offsets are those of the bytes.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    offset = 0  # file offset of the next chunk
-    with open(path, "rb") as fh:
-        while True:
-            chunk = fh.read(UTF8_CHUNK_BYTES)
+    start = 0  # file offset of the line
+    for line in fh:
+        size = len(line)
+        if not line.isascii():
             try:
-                decoder.decode(chunk, final=not chunk)
+                line = line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError as exc:
-                # exc.start counts from the bytes the decoder held back
-                # from the chunks before this one.
-                held = len(decoder.getstate()[0])
                 raise ParseError(
-                    f"{path}: not UTF-8 text (byte {offset - held + exc.start})"
-                ) from None
-            if not chunk:
-                return
-            offset += len(chunk)
+                    f"{path}: not UTF-8 text (byte {start + exc.start})") from None
+        yield line
+        start += size
 
 
 def _read_records(path: str):
     """(labels, data) of a UTF-8 CSV panel, raising ParseError at its first defect."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="latin-1") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -111,6 +104,8 @@ def _read_records(path: str):
                 records.extend(itertools.islice(reader, BLOCK_ROWS))
             except csv.Error as exc:  # raised once the records before it pass
                 error = ParseError(f"{path}: row {first + len(records)}: {exc}")
+            except ParseError as exc:  # a line that is not UTF-8, likewise
+                error = exc
             values.frombytes(_block_values(path, records, first, d))
             if error is not None:
                 raise error

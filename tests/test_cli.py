@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from infoflow import (
     simulate_rossler,
     simulate_var,
 )
-from infoflow.cli import BLOCK_ROWS, UTF8_CHUNK_BYTES, main, read_csv_panel, write_csv_panel
+from infoflow.cli import BLOCK_ROWS, main, read_csv_panel, write_csv_panel
 from infoflow.graph import reconstruct, to_json
 from infoflow.simgen import preset_panel
 from conftest import assert_matches_reference_var, var6_spec
@@ -207,6 +208,12 @@ READER_CASES = [
     ("information-separator", csv_text(ROWS[:3] + ["3,\x1c1.0,2.0"] + ROWS[4:]).encode()),
     ("underscore-digits", csv_text(ROWS[:3] + ["3,1_0,2.0"] + ROWS[4:]).encode()),
     ("crlf", csv_text(eol="\r\n").encode()),
+    ("lone-cr", csv_text(eol="\r").encode()),
+    ("mixed-eol", ("t,a,b\r\n" + "".join(r + eol for r, eol in
+                                         zip(ROWS, ["\n", "\r", "\r\n", "\r", "\n"]))).encode()),
+    ("non-ascii-labels", csv_text(header="t,é,€").encode()),
+    ("cr-in-quoted-label", csv_text(header='t,"a\rb","c\r\nd"').encode()),
+    ("nel-and-ls-in-label", csv_text(header="t,a\x85b,c\u2028d").encode()),
     ("utf8-bom", b"\xef\xbb\xbf" + csv_text().encode()),
     ("non-numeric-time", csv_text([f"t{i},{i}.5,{i * i}" for i in range(5)]).encode()),
     ("trailing-commas", csv_text([r + "," for r in ROWS]).encode()),
@@ -334,12 +341,12 @@ class TestCsvReaderPaths:
         assert code == 2
         assert err == f"error: {path}: not UTF-8 text (byte {len(head) + 2})\n"
 
+    @pytest.mark.parametrize("boundary", [8192, 65536])
     @pytest.mark.parametrize("cut", [1, 2], ids=["1+2", "2+1"])
-    def test_non_utf8_sequence_across_chunk_boundary(self, tmp_path, capsys, cut):
-        # A 3-byte sequence split by the chunk boundary, with its last byte
-        # replaced by "X": the decoder holds the start of the sequence back
-        # from the first chunk, and the error is at the sequence's first byte.
-        head = b"t,a,b\n" + b"0" * (UTF8_CHUNK_BYTES - 6 - cut)
+    def test_non_utf8_sequence_across_chunk_boundary(self, tmp_path, capsys, cut, boundary):
+        # A 3-byte sequence split by a read-buffer boundary, with its last
+        # byte replaced by "X": the error is at the sequence's first byte.
+        head = b"t,a,b\n" + b"0" * (boundary - 6 - cut)
         path = tmp_path / "split.csv"
         path.write_bytes(head + b"\xe2\x82\xac"[:cut] + b"X,1,2\n")
         code, _, err = run(capsys, "analyze", "--csv", str(path))
@@ -353,6 +360,29 @@ class TestCsvReaderPaths:
         code, _, err = run(capsys, "analyze", "--csv", str(path))
         assert code == 2
         assert err == f"error: {path}: not UTF-8 text (byte {len(head)})\n"
+
+    def test_non_utf8_offset_counts_bytes_not_characters(self, tmp_path, capsys):
+        # "é" and "€" are 2 and 3 bytes, 1 character each
+        head = csv_text([f"{i},{i}.5,1.0" for i in range(30)], header="t,é,€").encode()
+        path = tmp_path / "labels.csv"
+        path.write_bytes(head + b"9,\xff1.0,2.0\n")
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
+        assert code == 2
+        assert err == f"error: {path}: not UTF-8 text (byte {len(head) + 2})\n"
+
+    @pytest.mark.parametrize("ragged,bad,want", [
+        (1, 2998, "row 3 has 2 cells, expected 3"),
+        (2998, 1, "not UTF-8 text (byte {offset})"),
+    ], ids=["ragged-row-first", "bad-byte-first"])
+    def test_first_defect_in_file_order(self, tmp_path, capsys, ragged, bad, want):
+        rows = block_rows(3000, {ragged: f"{ragged},1.5", bad: f"{bad},~1.0,2.0"})
+        content = csv_text(rows).encode().replace(b"~", b"\xff")
+        path = tmp_path / "two-defects.csv"
+        path.write_bytes(content)
+        code, _, err = run(capsys, "analyze", "--csv", str(path))
+        assert code == 2
+        want = want.format(offset=content.index(b"\xff"))
+        assert err == f"error: {path}: {want}\n"
 
 
 class TestCsvWriter:
@@ -753,6 +783,54 @@ def src_env():
     src = os.path.dirname(os.path.dirname(infoflow.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+class TestCsvPipes:
+    """--csv reads its file once, so a pipe or FIFO gives what a regular file gives."""
+
+    ANALYZE = [sys.executable, "-m", "infoflow.cli", "analyze", "--format", "dot", "--csv"]
+
+    def analyze(self, path, stdin=b""):
+        # the timeout fails a reader that waits for a second open
+        return subprocess.run([*self.ANALYZE, str(path)], input=stdin, capture_output=True,
+                              timeout=30, env=src_env())
+
+    def regular_file(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        assert run(capsys, "generate", "var6-b100-short", "--out", str(path))[0] == 0
+        proc = self.analyze(path)
+        assert proc.returncode == 0
+        return path.read_bytes(), proc.stdout
+
+    def test_stdin_pipe(self, tmp_path, capsys):
+        content, want = self.regular_file(tmp_path, capsys)
+        proc = self.analyze("/dev/stdin", stdin=content)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == want
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    def test_named_fifo(self, tmp_path, capsys):
+        content, want = self.regular_file(tmp_path, capsys)
+        fifo = tmp_path / "panel.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:  # blocks until the reader opens
+                fh.write(content)
+
+        # a daemon, so that a reader that never opens the FIFO cannot hang the run
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        proc = self.analyze(fifo)
+        writer.join(timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == want
+
+    def test_stdin_pipe_not_utf8(self):
+        proc = self.analyze("/dev/stdin", stdin=b"t,a,b\n0,1,2\n1,\xff,3\n")
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: /dev/stdin: not UTF-8 text (byte 14)\n"
 
 
 @pytest.mark.parametrize("argv", [
