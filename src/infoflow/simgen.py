@@ -41,6 +41,7 @@ VAR6_A = np.array(
     ]
 )
 VAR6_ALPHA = np.array([0.1, 0.7, 0.5, 0.2, 0.8, 0.3])
+VAR6_A.flags.writeable = VAR6_ALPHA.flags.writeable = False
 
 # True edge set of the VAR6 network, as 1-based (source, target) pairs:
 # A[i, j] != 0 off the diagonal is an edge j -> i.
@@ -49,6 +50,13 @@ VAR6_EDGES = frozenset(
 )
 
 DIVERGENCE_LIMIT = 1e6
+
+
+def _check_count(name: str, n, low: int, high: float = math.inf) -> None:
+    """Require an integer (not a bool) in [low, high), as estimate_flows requires of k."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not low <= n < high:
+        rule = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {rule}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -75,10 +83,8 @@ class VarSpec:
             shape = getattr(self, name).shape
             if shape != (self.d,):
                 raise ValueError(f"{name} must have shape ({self.d},), got {shape}")
-        if not isinstance(self.N, numbers.Integral) or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N!r}")
-        if self.burn_in < 0:
-            raise ValueError(f"need burn_in >= 0, got {self.burn_in}")
+        _check_count("N", self.N, 1)
+        _check_count("burn_in", self.burn_in, 0)
 
     @property
     def d(self) -> int:
@@ -103,8 +109,8 @@ class RosslerSpec:
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if len(self.omega) != 3 or not all(math.isfinite(w) for w in self.omega):
             raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
-        if not 0 <= self.burn_in < self.N_total:
-            raise ValueError("need 0 <= burn_in < N_total")
+        _check_count("N_total", self.N_total, 1)
+        _check_count("burn_in", self.burn_in, 0, self.N_total)
 
 
 def simulate_var(spec: VarSpec) -> TimeSeriesPanel:

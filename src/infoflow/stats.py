@@ -20,7 +20,9 @@ class TimeSeriesPanel:
     ``data`` has shape (d, N): one row per variable.  The panel keeps its
     own read-only, C-contiguous (series-major) float64 copy, whatever the
     layout of the array passed in, and ``dt`` as a Python float (a bool is
-    not a time step).  Series must be complete (no NaN/inf)
+    not a time step).  ``labels`` may be any sequence of d strings, a
+    numpy array included, and is kept as a tuple of ``str``; an empty one
+    gives X1..Xd.  Series must be complete (no NaN/inf)
     and long enough that the normal-equation system is overdetermined
     (N >= d + 3).
     """
@@ -44,12 +46,13 @@ class TimeSeriesPanel:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(data)):
             raise ValueError("panel contains non-finite values")
-        labels = tuple(self.labels) if self.labels else tuple(f"X{i + 1}" for i in range(d))
+        labels = tuple(self.labels) or tuple(f"X{i + 1}" for i in range(d))
         if len(labels) != d:
             raise ValueError(f"{len(labels)} labels for {d} variables")
         for label in labels:
             if not isinstance(label, str):
                 raise ValueError(f"label {label!r} is not a string")
+        labels = tuple(map(str, labels))  # np.str_ -> str
         if len(set(labels)) != d:
             seen = set()
             duplicate = next(s for s in labels if s in seen or seen.add(s))

@@ -22,7 +22,7 @@ from infoflow import (
     simulate_rossler,
     simulate_var,
 )
-from infoflow.cli import BLOCK_ROWS, main, read_csv_panel, write_csv_panel
+from infoflow.cli import BLOCK_ROWS, SWEEP_PAIRS, main, read_csv_panel, write_csv_panel
 from infoflow.graph import reconstruct, to_json
 from infoflow.simgen import preset_panel
 from conftest import assert_matches_reference_var, var6_spec
@@ -219,6 +219,7 @@ READER_CASES = [
     ("trailing-commas", csv_text([r + "," for r in ROWS]).encode()),
     ("inf", csv_text(ROWS[:3] + ["3,inf,2.0"] + ROWS[4:]).encode()),
     ("nan", csv_text(ROWS[:3] + ["3,1.0,nan"] + ROWS[4:]).encode()),
+    ("empty", b""),
     ("header-only", b"t,a,b\n"),
     ("two-columns", csv_text([r.rsplit(",", 1)[0] for r in ROWS], header="t,a").encode()),
     ("extra-cell", csv_text(ROWS[:3] + ["3,1.0,2.0,4.0"] + ROWS[4:]).encode()),
@@ -743,12 +744,38 @@ class TestSweep:
         assert capsys.readouterr().err.endswith(
             "error: argument --steps: must be at least 1, got 0\n")
 
-    def test_non_finite_epsilon_exit_code(self, capsys):
-        # checked at parse time, before linspace, which would warn on an infinite end point
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--eps-from", "0", "--eps-to", "inf", "--steps", "2"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith("error: argument --eps-to: must be finite, got inf\n")
+    def test_three_point_grid(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "0.1",
+                           "--steps", "3", "--seed", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == SWEEP_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["0.0", "0.05", "0.1"]
+        src, dst = np.take(ROSSLER_OSCILLATOR_ROWS, SWEEP_PAIRS).T
+        for eps, row in zip([0.0, 0.05, 0.1], rows):
+            matrix = estimate_flows(*preset_panel("rossler", seed=1, epsilon=eps))
+            assert row[1:7] == [repr(abs(t)) for t in matrix.T[src, dst].tolist()]
+            assert row[7:] == [str(int(s)) for s in matrix.significant[src, dst]]
+
+    @pytest.mark.parametrize("flag", ["--eps-from", "--eps-to"], ids=["from", "to"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_epsilon_exit_code(self, capsys, flag, value):
+        ends = {"--eps-from": "0", "--eps-to": "0.1", flag: value}
+        code, out, err = run(capsys, "sweep", *(f"{name}={text}" for name, text in ends.items()),
+                             "--steps", "2")
+        assert (code, out) == (2, "")
+        want = [repr(float(ends[name])) for name in ("--eps-from", "--eps-to")]
+        assert err == ("error: --eps-from, --eps-to and their difference must be finite, "
+                       f"got {want[0]} and {want[1]}\n")
+
+    def test_overflowing_span_exit_code(self, capsys):
+        # finite ends whose difference overflows: linspace would warn and yield NaN
+        code, out, err = run(capsys, "sweep", "--eps-from=-1e308", "--eps-to=1e308",
+                             "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: --eps-from, --eps-to and their difference must be finite, "
+                       "got -1e+308 and 1e+308\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -846,6 +873,16 @@ def test_closed_stdout_exits_1_quietly(tmp_path, argv):
         assert proc.wait(timeout=120) == 1
         err.seek(0)
         assert err.read() == ""
+
+
+def test_stdout_closed_after_one_line_exits_1_quietly():
+    # `generate var6-b1 | head -1`: the reader takes one line, then closes the pipe
+    with subprocess.Popen([sys.executable, "-m", "infoflow.cli", "generate", "var6-b1"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env()) as proc:
+        assert proc.stdout.readline() == b"t,X1,X2,X3,X4,X5,X6\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 1
+        assert proc.stderr.read() == b""
 
 
 class TestImport:

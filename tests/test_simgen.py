@@ -73,7 +73,7 @@ class TestSimulateVar:
 
     @pytest.mark.parametrize("d, burn_in", [(1, -10), (2, -20)])
     def test_negative_burn_in_rejected(self, d, burn_in):
-        with pytest.raises(ValueError, match=f"need burn_in >= 0, got {burn_in}"):
+        with pytest.raises(ValueError, match=f"^burn_in must be an integer >= 0, got {burn_in}$"):
             VarSpec(A=0.5 * np.eye(d), alpha_vec=np.zeros(d), b_diag=np.ones(d),
                     N=100, burn_in=burn_in)
 
@@ -101,6 +101,35 @@ class TestSimulateVar:
 
     def test_benchmark_matrix_is_stable(self):
         assert np.max(np.abs(np.linalg.eigvals(VAR6_A))) < 1.0
+
+    @pytest.mark.parametrize("array", [VAR6_A, VAR6_ALPHA], ids=["A", "alpha"])
+    def test_benchmark_arrays_are_read_only(self, array):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+VAR_FIELDS = dict(A=0.5 * np.eye(2), alpha_vec=np.zeros(2), b_diag=np.ones(2), N=100)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: VarSpec(**{**VAR_FIELDS, "N": 500.0}), "N must be an integer >= 1, got 500.0"),
+    (lambda: VarSpec(**{**VAR_FIELDS, "N": True}), "N must be an integer >= 1, got True"),
+    (lambda: VarSpec(**VAR_FIELDS, burn_in=2.5), "burn_in must be an integer >= 0, got 2.5"),
+    (lambda: VarSpec(**VAR_FIELDS, burn_in=True), "burn_in must be an integer >= 0, got True"),
+    (lambda: RosslerSpec(N_total=2000.0), "N_total must be an integer >= 1, got 2000.0"),
+    (lambda: RosslerSpec(N_total=True, burn_in=0), "N_total must be an integer >= 1, got True"),
+    (lambda: RosslerSpec(N_total=2000, burn_in=10.5),
+     "burn_in must be an integer in [0, 2000), got 10.5"),
+    (lambda: RosslerSpec(N_total=2000, burn_in=2000),
+     "burn_in must be an integer in [0, 2000), got 2000"),
+    (lambda: RosslerSpec(N_total=2000, burn_in=-1),
+     "burn_in must be an integer in [0, 2000), got -1"),
+], ids=["var-N-float", "var-N-bool", "var-burn-in-float", "var-burn-in-bool",
+        "rossler-N-float", "rossler-N-bool", "rossler-burn-in-float",
+        "rossler-burn-in-N-total", "rossler-burn-in-negative"])
+def test_spec_sizes_are_integers(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def sparse_stable_spec(d=64, N=5000, seed=0):

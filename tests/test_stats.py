@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from infoflow import (
     SingularCovarianceError,
     TimeSeriesPanel,
     estimate_flows,
+    reconstruct,
     simulate_rossler,
     simulate_var,
+    to_json,
 )
 from infoflow.cli import read_csv_panel, write_csv_panel
 
@@ -56,6 +60,32 @@ class TestPanelValidation:
         data = np.arange(21.0).reshape(3, 7) ** 2
         with pytest.raises(ValueError, match="label 2 is not a string"):
             TimeSeriesPanel(data=data, labels=("a", 2, 3))
+
+    @pytest.mark.parametrize("data, message", [
+        (np.arange(7.0), "panel data must be 2-D (d, N), got shape (7,)"),
+        (np.empty((0, 7)), "panel needs at least one variable row"),
+    ], ids=["1-D", "zero-rows"])
+    def test_rejects_data_without_rows_of_series(self, data, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TimeSeriesPanel(data=data)
+
+    def test_rejects_a_label_count_other_than_d(self):
+        with pytest.raises(ValueError, match="^3 labels for 2 variables$"):
+            TimeSeriesPanel(data=np.arange(10.0).reshape(2, 5) ** 2, labels=("a", "b", "c"))
+
+    def test_numpy_labels_give_the_tuple_graph(self):
+        panel = simulate_var(var6_spec(b=1.0, N=500, seed=0))
+        names = ("a", "b", "c", "d", "e", "f")
+        from_array = TimeSeriesPanel(data=panel.data, labels=np.array(names))
+        from_tuple = TimeSeriesPanel(data=panel.data, labels=names)
+        assert from_array.labels == names
+        assert all(type(label) is str for label in from_array.labels)
+        assert to_json(reconstruct(from_array)) == to_json(reconstruct(from_tuple))
+
+    def test_numpy_label_messages_print_plain_strings(self):
+        data = np.arange(21.0).reshape(3, 7) ** 2
+        with pytest.raises(ValueError, match="^duplicate label 'a'$"):
+            TimeSeriesPanel(data=data, labels=np.array(["a", "b", "a"]))
 
 
 def assert_series_major(panel):
