@@ -10,9 +10,10 @@ Three subcommands:
   plot-ready flow table.
 
 Exit status is 0 on success and 1 when the reader closes stdout early.
-A bad argument or input file, or an unwritable output, exits 2 (argparse
-usage errors, ValueError, ParseError, OutputError); each estimation or
-simulation failure class has its own code, 3 to 6 (see errors.py).
+A bad argument or input file, or an unwritable output or stdout, exits 2
+(argparse usage errors, ValueError, ParseError, OutputError, OSError);
+each estimation or simulation failure class has its own code, 3 to 6
+(see errors.py).
 """
 
 from __future__ import annotations
@@ -285,6 +286,8 @@ def cmd_sweep(args) -> int:
     if not math.isfinite(args.eps_to - args.eps_from):
         raise ValueError(f"--eps-from, --eps-to and their difference must be finite, "
                          f"got {args.eps_from!r} and {args.eps_to!r}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     src, dst = np.take(ROSSLER_OSCILLATOR_ROWS, SWEEP_PAIRS).T  # panel rows of each pair
     names = [f"{'XYZ'[a]}_to_{'XYZ'[b]}" for a, b in SWEEP_PAIRS]
     lines = [",".join(["epsilon", *(f"T_{n}" for n in names), *(f"sig_{n}" for n in names)])]
@@ -297,22 +300,6 @@ def cmd_sweep(args) -> int:
     with _output(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
     return 0
-
-
-def _checked(convert, ok, rule: str):
-    """An argparse type: read the text with ``convert``, then require ``ok(value)``."""
-    def check(text: str):
-        value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
-        return value
-
-    check.__name__ = convert.__name__  # text convert rejects: "invalid int value: 'x'"
-    return check
-
-
-SEED = _checked(int, lambda v: v >= 0, "non-negative")
-STEPS = _checked(int, lambda v: v >= 1, "at least 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="confidence level for significance (default 0.90)")
     p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--out", help="artifact output path (default: stdout)")
-    p.add_argument("--seed", type=SEED, help="seed for preset generation (default 0)")
+    p.add_argument("--seed", type=int, help="seed for preset generation (default 0)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="coupling strength (rossler preset only)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("generate", help="write a benchmark panel to CSV")
     p.add_argument("preset", help="preset name")
-    p.add_argument("--seed", type=SEED, default=0)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.add_argument("--epsilon", type=float, default=None,
                    help="coupling strength (rossler preset only)")
@@ -353,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(uncoupled), 36 of 36 flows were significant over seeds 0-5 at alpha 0.90."))
     p.add_argument("--eps-from", type=float, required=True)
     p.add_argument("--eps-to", type=float, required=True)
-    p.add_argument("--steps", type=STEPS, required=True)
-    p.add_argument("--seed", type=SEED, default=0)
+    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_sweep)
@@ -373,11 +360,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so that the flush
-        # at exit cannot fail again (see the SIGPIPE note in the signal docs).
+    except OSError as exc:
+        # Only stdout's errors reach here: read_csv_panel and _output convert
+        # their own.  Point stdout at devnull so that the flush at exit cannot
+        # fail again (see the SIGPIPE note in the signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout
+            return 1
+        print(f"error: <stdout>: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

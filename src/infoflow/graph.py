@@ -1,8 +1,8 @@
 """Causal graph assembly and serialization.
 
-``reconstruct`` runs the full inference pipeline on a panel: fit every
-target row, test every ordered pair for significance, keep the
-significant pairs as directed edges, and annotate self-loop nodes.
+``reconstruct`` runs the full inference pipeline on a panel: fit all
+target rows in one solve, test every ordered pair for significance, keep
+the significant pairs as directed edges, and annotate self-loop nodes.
 The full flow matrix (significant or not) is retained for the JSON
 output, schema v2, which holds the nodes and edges as columns; DOT shows
 only the significant edges.

@@ -85,6 +85,7 @@ class VarSpec:
                 raise ValueError(f"{name} must have shape ({self.d},), got {shape}")
         _check_count("N", self.N, 1)
         _check_count("burn_in", self.burn_in, 0)
+        _check_count("seed", self.seed, 0)
 
     @property
     def d(self) -> int:
@@ -111,6 +112,7 @@ class RosslerSpec:
             raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
         _check_count("N_total", self.N_total, 1)
         _check_count("burn_in", self.burn_in, 0, self.N_total)
+        _check_count("seed", self.seed, 0)
 
 
 def simulate_var(spec: VarSpec) -> TimeSeriesPanel:

@@ -21,8 +21,8 @@ class TimeSeriesPanel:
     own read-only, C-contiguous (series-major) float64 copy, whatever the
     layout of the array passed in, and ``dt`` as a Python float (a bool is
     not a time step).  ``labels`` may be any sequence of d strings, a
-    numpy array included, and is kept as a tuple of ``str``; an empty one
-    gives X1..Xd.  Series must be complete (no NaN/inf)
+    numpy array included but not one string, and is kept as a tuple of
+    ``str``; an empty one gives X1..Xd.  Series must be complete (no NaN/inf)
     and long enough that the normal-equation system is overdetermined
     (N >= d + 3).
     """
@@ -46,6 +46,8 @@ class TimeSeriesPanel:
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if not np.all(np.isfinite(data)):
             raise ValueError("panel contains non-finite values")
+        if isinstance(self.labels, str):
+            raise ValueError(f"labels must be a sequence of strings, got {self.labels!r}")
         labels = tuple(self.labels) or tuple(f"X{i + 1}" for i in range(d))
         if len(labels) != d:
             raise ValueError(f"{len(labels)} labels for {d} variables")

@@ -738,11 +738,9 @@ class TestSweep:
                 assert cell == str(int(matrix.significant[pair]))
 
     def test_zero_steps_rejected(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--eps-from", "0", "--eps-to", "1", "--steps", "0"])
-        assert exc.value.code == 2
-        assert capsys.readouterr().err.endswith(
-            "error: argument --steps: must be at least 1, got 0\n")
+        code, out, err = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "1", "--steps", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --steps must be at least 1, got 0\n"
 
     def test_three_point_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "0.1",
@@ -783,12 +781,10 @@ class TestSweep:
     ["analyze", "--preset", "var6-b1"],
     ["sweep", "--eps-from", "0", "--eps-to", "1", "--steps", "1"],
 ], ids=["generate", "analyze", "sweep"])
-def test_negative_seed_rejected_at_parse_time(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "-1"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        "error: argument --seed: must be non-negative, got -1\n")
+def test_negative_seed_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -883,6 +879,19 @@ def test_stdout_closed_after_one_line_exits_1_quietly():
         proc.stdout.close()
         assert proc.wait(timeout=30) == 1
         assert proc.stderr.read() == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--preset", "var6-b100-short"],
+    ["generate", "var6-b100-short"],
+], ids=["analyze", "generate"])
+def test_full_stdout_is_one_error_line(argv):
+    # every write to /dev/full fails with ENOSPC, as --out /dev/full does
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run([sys.executable, "-m", "infoflow.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, env=src_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, b"error: <stdout>: No space left on device\n")
 
 
 class TestImport:

@@ -61,6 +61,12 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match="label 2 is not a string"):
             TimeSeriesPanel(data=data, labels=("a", 2, 3))
 
+    def test_rejects_one_string_as_labels(self):
+        data = np.arange(10.0).reshape(2, 5) ** 2
+        with pytest.raises(ValueError,
+                           match=r"^labels must be a sequence of strings, got 'ab'$"):
+            TimeSeriesPanel(data=data, labels="ab")
+
     @pytest.mark.parametrize("data, message", [
         (np.arange(7.0), "panel data must be 2-D (d, N), got shape (7,)"),
         (np.empty((0, 7)), "panel needs at least one variable row"),
