@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import math
 import os
 import sys
@@ -36,7 +35,7 @@ from .simgen import ROSSLER_OSCILLATOR_ROWS, preset_panel
 from .stats import TimeSeriesPanel
 
 
-# Records per block, read or written: bounds the Python objects alive at once.
+# Rows per block written: bounds the Python objects alive at once.
 BLOCK_ROWS = 1024
 
 
@@ -50,8 +49,8 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
 
     The file is opened once and read in one pass, so the path may name a
     pipe.  Lines are split as latin-1 and each non-ASCII line is decoded
-    as UTF-8; records are taken BLOCK_ROWS at a time, and the value cells
-    of each block are cast to float64 at once.
+    as UTF-8; each record is then checked and cast in file order, so the
+    first defect in the file is the one reported.
     """
     try:
         labels, data = _read_records(path)
@@ -86,76 +85,45 @@ def _read_records(path: str):
     """(labels, data) of a UTF-8 CSV panel, raising ParseError at its first defect."""
     with open(path, newline="", encoding="latin-1") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
+        lineno = 0  # the last record read: a csv.Error is in the next one
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            lineno = 1
+            if len(header) < 3:
+                raise ParseError(
+                    f"{path}: need a time column plus at least 2 variable columns, "
+                    f"got {len(header)} columns"
+                )
+            values = array("d")
+            for lineno, cells in enumerate(reader, start=2):
+                if not cells:
+                    continue
+                if len(cells) != len(header):
+                    raise ParseError(
+                        f"{path}: row {lineno} has {len(cells)} cells, "
+                        f"expected {len(header)}"
+                    )
+                for col, cell in enumerate(cells[1:], start=2):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise ParseError(
+                            f"{path}: row {lineno}, column {col}: "
+                            f"non-numeric cell {cell.strip()!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"{path}: row {lineno}, column {col}: non-finite value"
+                        )
+                    values.append(value)
         except csv.Error as exc:
-            raise ParseError(f"{path}: row 1: {exc}") from None
-        if len(header) < 3:
-            raise ParseError(
-                f"{path}: need a time column plus at least 2 variable columns, "
-                f"got {len(header)} columns"
-            )
-        d = len(header) - 1
-        values = array("d")
-        for first in itertools.count(2, BLOCK_ROWS):
-            records, error = [], None
-            try:
-                records.extend(itertools.islice(reader, BLOCK_ROWS))
-            except csv.Error as exc:  # raised once the records before it pass
-                error = ParseError(f"{path}: row {first + len(records)}: {exc}")
-            except ParseError as exc:  # a line that is not UTF-8, likewise
-                error = exc
-            values.frombytes(_block_values(path, records, first, d))
-            if error is not None:
-                raise error
-            if len(records) < BLOCK_ROWS:
-                break
+            raise ParseError(f"{path}: row {lineno + 1}: {exc}") from None
     if not values:
         raise ParseError(f"{path}: no data rows")
     labels = tuple(name.strip() for name in header[1:])
-    return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, d).T
-
-
-def _block_values(path: str, records, first: int, d: int) -> bytes:
-    """The d value cells of each non-blank record as float64 bytes, row after row.
-
-    ``first`` is the record number of ``records[0]``.  A block that does
-    not cast to a finite (rows, d) array is walked record by record, and
-    the ParseError names its first bad record.
-    """
-    rows = [cells[1:] for cells in records if cells]
-    try:
-        block = np.array(rows, dtype=float)
-    except ValueError:
-        block = None
-    if block is not None and block.shape == (len(rows), d) and np.isfinite(block).all():
-        return block.tobytes()
-    checked = []
-    for lineno, cells in enumerate(records, start=first):
-        if not cells:
-            continue
-        if len(cells) != d + 1:
-            raise ParseError(
-                f"{path}: row {lineno} has {len(cells)} cells, expected {d + 1}"
-            )
-        values = []
-        for col, cell in enumerate(cells[1:], start=2):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {lineno}, column {col}: "
-                    f"non-numeric cell {cell.strip()!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(
-                    f"{path}: row {lineno}, column {col}: non-finite value"
-                )
-            values.append(value)
-        checked.append(values)
-    return np.array(checked).tobytes()
+    return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, len(labels)).T
 
 
 def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:

@@ -59,6 +59,11 @@ def _check_count(name: str, n, low: int, high: float = math.inf) -> None:
         raise ValueError(f"{name} must be an integer {rule}, got {n!r}")
 
 
+def _finite(x) -> bool:
+    """Whether x is a finite number and not a bool, as TimeSeriesPanel requires of dt."""
+    return not isinstance(x, (bool, np.bool_)) and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class VarSpec:
     """VAR(1) process X(n+1) = alpha_vec + A X(n) + diag(b_diag) e(n+1)."""
@@ -104,11 +109,11 @@ class RosslerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
+        if not (_finite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.epsilon):
+        if not _finite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if len(self.omega) != 3 or not all(math.isfinite(w) for w in self.omega):
+        if len(self.omega) != 3 or not all(map(_finite, self.omega)):
             raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
         _check_count("N_total", self.N_total, 1)
         _check_count("burn_in", self.burn_in, 0, self.N_total)

@@ -219,6 +219,8 @@ READER_CASES = [
     ("trailing-commas", csv_text([r + "," for r in ROWS]).encode()),
     ("inf", csv_text(ROWS[:3] + ["3,inf,2.0"] + ROWS[4:]).encode()),
     ("nan", csv_text(ROWS[:3] + ["3,1.0,nan"] + ROWS[4:]).encode()),
+    # finite values whose sum overflows: accepted, as each is finite
+    ("sum-overflows", csv_text(ROWS[:3] + ["3,1e308,1.7e308"] + ROWS[4:]).encode()),
     ("empty", b""),
     ("header-only", b"t,a,b\n"),
     ("two-columns", csv_text([r.rsplit(",", 1)[0] for r in ROWS], header="t,a").encode()),
@@ -266,14 +268,6 @@ def read_outcome(read, path):
     return labels, np.asarray(data).view(np.uint64).tolist()
 
 
-def cast_outcome(cast, cell):
-    """The bits of ``cast(cell)`` as a float64, or None if it raises ValueError."""
-    try:
-        return np.asarray(cast(cell), dtype=float).reshape(()).view(np.uint64).item()
-    except ValueError:
-        return None
-
-
 @st_.composite
 def numeric_text(draw):
     """Float and integer text with signs, exponents, ``_``, foreign digits and padding."""
@@ -305,12 +299,21 @@ class TestCsvReaderPaths:
         assert read_outcome(read_panel, path) == read_outcome(reference_read_rows, path)
 
     @given(st_.one_of(st_.text(), numeric_text()))
+    @example("1e400")  # finite text, infinite value
+    @example("\u0663.\u0665")  # Arabic-Indic digits
+    @example("\uff11.\uff15")  # fullwidth digits
+    @example("\u30001.5\u3000")  # ideographic spaces
+    @example("0x10")
     @settings(max_examples=500, deadline=None)
-    def test_array_cast_reads_cells_as_float_does(self, cell):
-        # The reader casts whole blocks with numpy and accepts a file exactly
-        # when float() accepts every value cell: the two casts must agree.
-        as_array = cast_outcome(lambda c: np.array([[c]], dtype=float), cell)
-        assert as_array == cast_outcome(float, cell)
+    def test_value_cell_read_as_row_reader_does(self, tmp_path_factory, cell):
+        # The drawn text is the first value cell of record 3, quoted as the
+        # csv module quotes it, in an otherwise valid panel.
+        fh = io.StringIO()
+        csv.writer(fh, lineterminator="\n").writerow(["1", cell, "3.0"])
+        path = str(tmp_path_factory.getbasetemp() / "cell.csv")
+        with open(path, "wb") as out:
+            out.write(csv_text([ROWS[0], fh.getvalue().rstrip("\n")] + ROWS[2:]).encode())
+        assert read_outcome(read_panel, path) == read_outcome(reference_read_rows, path)
 
     @pytest.mark.parametrize("header,rows,row", [
         ("t,a," + "b" * HUGE_CELL, ROWS, 1),

@@ -256,8 +256,11 @@ class TestSimulateRossler:
         dict(dt=float("inf")),
         dict(omega=(1.0, 2.0)),
         dict(omega=(1.0, 2.0, 3.0, 4.0)),
+        dict(dt=True),
+        dict(epsilon=np.True_),
+        dict(omega=(True, 0.985, 0.95)),
     ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf",
-            "omega-2", "omega-4"])
+            "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool"])
     def test_non_finite_parameters_rejected(self, kw):
         name = next(iter(kw))
         with pytest.raises(ValueError, match=f"{name} must be (positive and )?finite"):
