@@ -35,10 +35,6 @@ from .simgen import ROSSLER_OSCILLATOR_ROWS, preset_panel
 from .stats import TimeSeriesPanel
 
 
-# Rows per block written: bounds the Python objects alive at once.
-BLOCK_ROWS = 1024
-
-
 def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     """Read a panel from CSV: one header row, first column a time index.
 
@@ -133,13 +129,8 @@ def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
     reads back to the same double.
     """
     csv.writer(fh, lineterminator="\n").writerow(["t"] + list(panel.labels))
-    rows = panel.data.T
-    for start in range(0, panel.n, BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS].tolist()
-        fh.write("".join(
-            f"{n},{','.join(map(repr, row))}\n"
-            for n, row in enumerate(block, start=start)
-        ))
+    for n, row in enumerate(panel.data.T):
+        fh.write(f"{n},{','.join(map(repr, row.tolist()))}\n")
 
 
 def _matrix_csv(graph) -> str:

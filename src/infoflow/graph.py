@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,23 +110,17 @@ def reconstruct(
     return build_graph(matrix, panel)
 
 
-_DOT_ID = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
 def _dot_quoted(text: str) -> str:
     """A DOT double-quoted string: backslashes doubled, then quotes escaped."""
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot_id(label: str) -> str:
-    if _DOT_ID.fullmatch(label):
-        return label
-    return _dot_quoted(label)
-
-
 def to_dot(graph: CausalGraph) -> str:
     """Serialize the significant-edge graph as Graphviz DOT text.
 
+    Every node ID is a double-quoted string, so a label that is a DOT
+    keyword (``node``, ``edge``, ``graph``, ``digraph``, ``subgraph``,
+    ``strict``, in any case) names a node like any other label.
     Edge labels carry T (3 significant digits, as the ``analyze`` summary
     prints it) and tau (percent, 1 decimal);
     self-loop nodes are drawn with doubled peripheries.  Output
@@ -136,15 +129,13 @@ def to_dot(graph: CausalGraph) -> str:
     """
     lines = ["digraph causal {"]
     for node in graph.nodes:
-        attrs = [f"label={_dot_quoted(node.label)}"]
-        if node.is_self_loop:
-            attrs.append("peripheries=2")
-        lines.append(f"  {_dot_id(node.label)} [{', '.join(attrs)}];")
+        name = _dot_quoted(node.label)
+        loop = ", peripheries=2" if node.is_self_loop else ""
+        lines.append(f"  {name} [label={name}{loop}];")
     for edge in graph.edges:
         label = f"{edge.T:.3g} ({100.0 * edge.tau:.1f}%)"
-        lines.append(
-            f'  {_dot_id(edge.source)} -> {_dot_id(edge.target)} [label="{label}"];'
-        )
+        lines.append(f'  {_dot_quoted(edge.source)} -> {_dot_quoted(edge.target)} '
+                     f'[label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from infoflow import (
     simulate_rossler,
     simulate_var,
 )
-from infoflow.cli import BLOCK_ROWS, SWEEP_PAIRS, main, read_csv_panel, write_csv_panel
+from infoflow.cli import SWEEP_PAIRS, main, read_csv_panel, write_csv_panel
 from infoflow.graph import reconstruct, to_json
 from infoflow.simgen import preset_panel
 from conftest import assert_matches_reference_var, var6_spec
@@ -193,7 +194,6 @@ def block_rows(n, replace=None):
 QUOTED_HUGE = f'1,"{"0" * HUGE_CELL}"'
 # Data row 20 (record 22) holds a long unquoted number.
 LONG_NUMBER = {20: "20,1," + "0" * HUGE_CELL}
-SECOND_BLOCK = BLOCK_ROWS + 3
 
 
 # Inputs the one-pass reader must read exactly as the row-at-a-time
@@ -232,25 +232,24 @@ READER_CASES = [
     ("huge-unquoted-number-quoted-time",
      csv_text(block_rows(25, {0: '"0",0.5,0', **LONG_NUMBER})).encode()),
     ("single-cell-rows", csv_text([str(i) for i in range(5)]).encode()),
-    ("blank-run-longer-than-block",
-     csv_text(ROWS[:2] + [""] * (BLOCK_ROWS + 5) + ROWS[2:]).encode()),
+    ("blank-run-of-1029-lines",
+     csv_text(ROWS[:2] + [""] * 1029 + ROWS[2:]).encode()),
     ("blank-lines-then-bad-cell",
      csv_text(ROWS[:2] + ["", ""] + ["2,oops,1"] + ROWS[3:]).encode()),
     ("blank-run-then-bad-cell",
-     csv_text(ROWS[:2] + [""] * (BLOCK_ROWS + 5) + ["2,1,oops"] + ROWS[3:]).encode()),
-    ("bad-cell-second-block",
-     csv_text(block_rows(BLOCK_ROWS + 20, {SECOND_BLOCK: "x,1.0,oops"})).encode()),
-    ("ragged-row-second-block",
-     csv_text(block_rows(BLOCK_ROWS + 20, {SECOND_BLOCK: "x,1.0"})).encode()),
-    ("minus-inf-second-block",
-     csv_text(block_rows(BLOCK_ROWS + 20, {SECOND_BLOCK: "x,-inf,1"})).encode()),
+     csv_text(ROWS[:2] + [""] * 1029 + ["2,1,oops"] + ROWS[3:]).encode()),
+    # data row 1027 is record 1029, after a thousand good records
+    ("bad-cell-at-row-1029",
+     csv_text(block_rows(1044, {1027: "x,1.0,oops"})).encode()),
+    ("ragged-at-row-1029",
+     csv_text(block_rows(1044, {1027: "x,1.0"})).encode()),
+    ("minus-inf-at-row-1029",
+     csv_text(block_rows(1044, {1027: "x,-inf,1"})).encode()),
     ("bad-cell-then-huge-quoted-cell",
      csv_text(block_rows(20, {5: "5,oops,1", 9: "9," + QUOTED_HUGE})).encode()),
     ("huge-quoted-cell-then-bad-cell",
      csv_text(block_rows(20, {5: "5," + QUOTED_HUGE, 9: "9,oops,1"})).encode()),
-    ("one-short-of-a-block", csv_text(block_rows(BLOCK_ROWS - 1)).encode()),
-    ("one-block", csv_text(block_rows(BLOCK_ROWS)).encode()),
-    ("two-blocks", csv_text(block_rows(2 * BLOCK_ROWS)).encode()),
+    ("two-blocks", csv_text(block_rows(2048)).encode()),  # 2048 rows, no defect
 ]
 
 
@@ -405,6 +404,27 @@ class TestCsvWriter:
         got = io.StringIO()
         write_csv_panel(panel, got)
         assert got.getvalue() == want.getvalue()
+
+    def test_memory_does_not_grow_with_rows(self):
+        # the writer holds one record's text at a time, not the whole panel's
+        class CountingSink:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        peaks = []
+        for n in (4000, 40000):
+            panel = TimeSeriesPanel(data=np.random.default_rng(1).standard_normal((9, n)))
+            sink = CountingSink()
+            tracemalloc.start()
+            try:
+                write_csv_panel(panel, sink)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sink.chars > 9 * n  # at least a character per value
+        assert peaks[1] < 2 * peaks[0]
 
 
 class TestOutputPath:
@@ -591,7 +611,7 @@ class TestAnalyze:
             dot = (tmp_path / "g.dot").read_text()
             edges.append([line.split("[")[0].strip()
                           for line in dot.splitlines() if " -> " in line])
-        assert edges[0] == ["X2 -> X1"] and edges[1] == edges[0]
+        assert edges[0] == ['"X2" -> "X1"'] and edges[1] == edges[0]
 
     @pytest.mark.parametrize("fmt", ["json", "dot", "csv-matrix"])
     def test_out_dash_is_stdout(self, tmp_path, capsys, fmt):

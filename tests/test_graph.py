@@ -109,20 +109,20 @@ class TestDot:
     def test_empty_graph_has_isolated_nodes(self):
         dot = to_dot(tiny_graph())
         assert dot.startswith("digraph")
-        assert 'A [label="A"' in dot
-        assert 'B [label="B"' in dot
+        assert '"A" [label="A"' in dot
+        assert '"B" [label="B"' in dot
         assert "->" not in dot
 
     def test_edge_label_format(self):
         edge = GraphEdge(source="A", target="B", T=0.19, stderr=0.003,
                          p=0.0, tau=0.132)
         dot = to_dot(tiny_graph([edge]))
-        assert 'A -> B [label="0.19 (13.2%)"];' in dot
+        assert '"A" -> "B" [label="0.19 (13.2%)"];' in dot
 
     def test_self_loop_styling(self):
         dot = to_dot(tiny_graph())
-        a_line = next(l for l in dot.splitlines() if l.strip().startswith("A "))
-        b_line = next(l for l in dot.splitlines() if l.strip().startswith("B "))
+        a_line = next(l for l in dot.splitlines() if l.strip().startswith('"A" '))
+        b_line = next(l for l in dot.splitlines() if l.strip().startswith('"B" '))
         assert "peripheries=2" in a_line
         assert "peripheries" not in b_line
 
@@ -131,6 +131,20 @@ class TestDot:
         lines = dot.splitlines()
         assert sum("->" in l for l in lines) == 7
         assert sum("->" not in l and "label=" in l for l in lines) == 6
+
+    def test_keyword_labels_are_quoted_ids(self, var6_b1_panel):
+        # DOT's keywords, matched without regard to case: bare, they would
+        # set defaults or break the edge statements instead of naming nodes
+        labels = ("node", "Edge", "GRAPH", "digraph", "subgraph", "strict")
+        graph = reconstruct(TimeSeriesPanel(data=var6_b1_panel.data, labels=labels))
+        body = to_dot(graph).splitlines()[1:-1]
+        nodes = [l for l in body if " -> " not in l]
+        edges = [l for l in body if " -> " in l]
+        assert len(nodes) == len(labels) and len(edges) == len(graph.edges) == 7
+        for line, label in zip(nodes, labels):
+            assert line.startswith(f'  "{label}" [label="{label}"')
+        for line, edge in zip(edges, graph.edges):
+            assert line.startswith(f'  "{edge.source}" -> "{edge.target}" [label=')
 
     def test_quoting_of_awkward_labels(self):
         nodes = (
