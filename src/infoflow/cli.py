@@ -32,22 +32,24 @@ from .errors import InfoflowError, OutputError, ParseError
 from .estimator import DEFAULT_ALPHA, estimate_flows
 from .graph import build_graph, to_dot, to_json
 from .simgen import ROSSLER_OSCILLATOR_ROWS, preset_panel
-from .stats import TimeSeriesPanel
+from .stats import TimeSeriesPanel, check_dt
 
 
 def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     """Read a panel from CSV: one header row, first column a time index.
 
-    The time index column is ignored for estimation (series must be
-    equi-spaced; dt comes from the caller).  Column order defines the
-    variable indices.  The file must be UTF-8 text, and every other cell
-    must be one that ``float()`` reads as a finite number.
+    The time index column is ignored (series must be equi-spaced); dt comes
+    from the caller and is checked before the file is opened.  Column order
+    defines the variable indices.  The file must be UTF-8 text, and every
+    other cell must be one that ``float()`` reads as a finite number; a
+    panel rule the data break (N >= d + 3) is a ParseError naming the file.
 
     The file is opened once and read in one pass, so the path may name a
     pipe.  Lines are split as latin-1 and each non-ASCII line is decoded
     as UTF-8; each record is then checked and cast in file order, so the
     first defect in the file is the one reported.
     """
+    check_dt(dt)
     try:
         labels, data = _read_records(path)
     except OSError as exc:
@@ -116,8 +118,6 @@ def _read_records(path: str):
                     values.append(value)
         except csv.Error as exc:
             raise ParseError(f"{path}: row {lineno + 1}: {exc}") from None
-    if not values:
-        raise ParseError(f"{path}: no data rows")
     labels = tuple(name.strip() for name in header[1:])
     return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, len(labels)).T
 
@@ -205,7 +205,7 @@ def _output(path: str | None):
         raise OutputError(f"{path}: {exc.strerror}") from exc
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     if args.csv:
         if args.seed is not None or args.epsilon is not None:
             raise ValueError("--seed and --epsilon apply to presets, not to --csv input")
@@ -224,14 +224,12 @@ def cmd_analyze(args) -> int:
         if fh is sys.stdout:
             fh.write("\n")  # a blank line between the summary and the artifact
         fh.write(artifact)
-    return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     panel, _ = preset_panel(args.preset, seed=args.seed, epsilon=args.epsilon)
     with _output(args.out) as fh:
         write_csv_panel(panel, fh)
-    return 0
 
 
 # (source, target) pairs the epsilon sweep reports, as indices into
@@ -241,7 +239,7 @@ def cmd_generate(args) -> int:
 SWEEP_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> None:
     if not math.isfinite(args.eps_to - args.eps_from):
         raise ValueError(f"--eps-from, --eps-to and their difference must be finite, "
                          f"got {args.eps_from!r} and {args.eps_to!r}")
@@ -258,7 +256,6 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(map(repr, cells)))
     with _output(args.out) as fh:
         fh.write("\n".join(lines) + "\n")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        status = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
-        return status
+        return 0
     except InfoflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -102,10 +102,8 @@ def reconstruct(
     Every ordered pair (j, i) gets a flow estimate and a two-sided
     significance test at level alpha; significant pairs become edges.
     Self-loops are annotated per node from the significance of the
-    self-influence coefficient, at the same alpha.
+    self-influence coefficient, at the same alpha.  One series gives one node.
     """
-    if panel.d < 2:
-        raise ValueError("graph reconstruction needs at least two variables")
     matrix = estimate_flows(panel, k=k, alpha=alpha)
     return build_graph(matrix, panel)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .stats import TimeSeriesPanel
+from .stats import TimeSeriesPanel, check_dt
 
 # 6-node benchmark network: cycles (1,2,3) and (4,5), confounder X6.
 VAR6_A = np.array(
@@ -99,7 +99,7 @@ class VarSpec:
 
 @dataclass(frozen=True)
 class RosslerSpec:
-    """Three coupled Rossler oscillators, one-way driven by the first."""
+    """Three coupled Rossler oscillators, one-way driven by the first; ``check_dt`` rules on dt."""
 
     omega: tuple = (1.015, 0.985, 0.95)
     epsilon: float = 0.0
@@ -109,8 +109,7 @@ class RosslerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_finite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        check_dt(self.dt)
         if not _finite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         if len(self.omega) != 3 or not all(map(_finite, self.omega)):

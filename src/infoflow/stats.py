@@ -13,18 +13,26 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_dt(dt) -> None:
+    """Raise ValueError unless dt is a positive finite number; a bool is not a time step."""
+    if isinstance(dt, (bool, np.bool_)):
+        raise ValueError(f"dt must be a number, got {dt}")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 @dataclass(frozen=True)
 class TimeSeriesPanel:
     """d equi-spaced stationary series of length N with time step dt.
 
     ``data`` has shape (d, N): one row per variable.  The panel keeps its
     own read-only, C-contiguous (series-major) float64 copy, whatever the
-    layout of the array passed in, and ``dt`` as a Python float (a bool is
-    not a time step).  ``labels`` may be any sequence of d strings, a
+    layout of the array passed in, and ``dt``, checked by ``check_dt``, as
+    a Python float.  ``labels`` may be any sequence of d strings, a
     numpy array included but not one string, and is kept as a tuple of
     ``str``; an empty one gives X1..Xd.  Series must be complete (no NaN/inf)
     and long enough that the normal-equation system is overdetermined
-    (N >= d + 3).
+    (N >= d + 3, d >= 1).  No caller restates these rules.
     """
 
     data: np.ndarray
@@ -40,10 +48,7 @@ class TimeSeriesPanel:
             raise ValueError("panel needs at least one variable row")
         if n < d + 3:
             raise ValueError(f"need N >= d + 3 samples, got N={n} for d={d}")
-        if isinstance(self.dt, (bool, np.bool_)):
-            raise ValueError(f"dt must be a number, got {self.dt}")
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        check_dt(self.dt)
         if not np.all(np.isfinite(data)):
             raise ValueError("panel contains non-finite values")
         if isinstance(self.labels, str):

@@ -371,9 +371,7 @@ def reference_read_rows(path: str):
                     )
                 values.append(value)
             rows.append(values)
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return labels, np.array(rows).T
+    return labels, np.array(rows, dtype=float).reshape(-1, len(labels)).T
 
 
 def _csv_rows(fh, path: str):

