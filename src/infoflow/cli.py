@@ -40,9 +40,10 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
 
     The time index column is ignored (series must be equi-spaced); dt comes
     from the caller and is checked before the file is opened.  Column order
-    defines the variable indices.  The file must be UTF-8 text, and every
-    other cell must be one that ``float()`` reads as a finite number; a
-    panel rule the data break (N >= d + 3) is a ParseError naming the file.
+    defines the variable indices.  The file must be UTF-8 text, every other
+    cell one that ``float()`` reads as a finite number, and N >= d + 3.  Any
+    failure to open, read or check the file is one ParseError whose text
+    starts with the path, formed here and nowhere else.
 
     The file is opened once and read in one pass, so the path may name a
     pipe.  Lines are split as latin-1 and each non-ASCII line is decoded
@@ -51,16 +52,16 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     """
     check_dt(dt)
     try:
-        labels, data = _read_records(path)
+        with open(path, newline="", encoding="latin-1") as fh:
+            labels, data = _read_records(fh)
+        return TimeSeriesPanel(data=data, dt=dt, labels=labels)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
-    try:
-        return TimeSeriesPanel(data=data, dt=dt, labels=labels)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _utf8_lines(fh, path: str):
+def _utf8_lines(fh):
     """The lines of a latin-1 text file, each decoded as UTF-8.
 
     Latin-1 reads one character per byte, and no UTF-8 sequence holds a
@@ -73,51 +74,40 @@ def _utf8_lines(fh, path: str):
             try:
                 line = line.encode("latin-1").decode("utf-8")
             except UnicodeDecodeError as exc:
-                raise ParseError(
-                    f"{path}: not UTF-8 text (byte {start + exc.start})") from None
+                raise ValueError(f"not UTF-8 text (byte {start + exc.start})") from None
         yield line
         start += size
 
 
-def _read_records(path: str):
-    """(labels, data) of a UTF-8 CSV panel, raising ParseError at its first defect."""
-    with open(path, newline="", encoding="latin-1") as fh:
-        reader = csv.reader(_utf8_lines(fh, path))
-        lineno = 0  # the last record read: a csv.Error is in the next one
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            lineno = 1
-            if len(header) < 3:
-                raise ParseError(
-                    f"{path}: need a time column plus at least 2 variable columns, "
-                    f"got {len(header)} columns"
-                )
-            values = array("d")
-            for lineno, cells in enumerate(reader, start=2):
-                if not cells:
-                    continue
-                if len(cells) != len(header):
-                    raise ParseError(
-                        f"{path}: row {lineno} has {len(cells)} cells, "
-                        f"expected {len(header)}"
-                    )
-                for col, cell in enumerate(cells[1:], start=2):
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise ParseError(
-                            f"{path}: row {lineno}, column {col}: "
-                            f"non-numeric cell {cell.strip()!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise ParseError(
-                            f"{path}: row {lineno}, column {col}: non-finite value"
-                        )
-                    values.append(value)
-        except csv.Error as exc:
-            raise ParseError(f"{path}: row {lineno + 1}: {exc}") from None
+def _read_records(fh):
+    """(labels, data) of a UTF-8 CSV panel; its first defect is a ValueError without the path."""
+    reader = csv.reader(_utf8_lines(fh))
+    lineno = 0  # the last record read: a csv.Error is in the next one
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty file")
+        lineno = 1
+        if len(header) < 3:
+            raise ValueError(f"need a time column plus at least 2 variable columns, "
+                             f"got {len(header)} columns")
+        values = array("d")
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ValueError(f"row {lineno} has {len(cells)} cells, expected {len(header)}")
+            for col, cell in enumerate(cells[1:], start=2):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValueError(f"row {lineno}, column {col}: "
+                                     f"non-numeric cell {cell.strip()!r}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"row {lineno}, column {col}: non-finite value")
+                values.append(value)
+    except csv.Error as exc:
+        raise ValueError(f"row {lineno + 1}: {exc}") from None
     labels = tuple(name.strip() for name in header[1:])
     return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, len(labels)).T
 
@@ -310,12 +300,9 @@ def main(argv=None) -> int:
         args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return 0
-    except InfoflowError as exc:
+    except (InfoflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
     except OSError as exc:
         # Only stdout's errors reach here: read_csv_panel and _output convert
         # their own.  Point stdout at devnull so that the flush at exit cannot

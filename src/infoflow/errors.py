@@ -14,7 +14,8 @@ class InfoflowError(Exception):
 
 
 class ParseError(InfoflowError):
-    """Malformed input file (ragged rows, non-numeric cells, NaN)."""
+    """An input file that cannot be opened or read, or is malformed (not UTF-8,
+    ragged rows, non-numeric cells, NaN, too few rows); the text starts with its path."""
 
     exit_code = 2
 

@@ -65,7 +65,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateInputError, SingularCovarianceError, SingularInformationError
-from .stats import TimeSeriesPanel
+from .stats import TimeSeriesPanel, check_number
 
 DEFAULT_ALPHA = 0.90
 # Above this condition number the equilibrated covariance matrix is treated
@@ -135,10 +135,10 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     underflows to zero (k dt near the largest double).  An equilibrated
     covariance matrix with condition number above COND_LIMIT raises
     SingularCovarianceError, and a zero residual variance
-    SingularInformationError.  ``alpha`` must lie in (0, 1 - 2^-52], above
-    which (1 + alpha) / 2 rounds to 1, and the stride k must be an integer
-    in [1, N - d - 2], so that the N - k differences outnumber each row's
-    d + 1 parameters; they are kept as a Python float and int.
+    SingularInformationError.  ``alpha`` must be a number in (0, 1 - 2^-52],
+    above which (1 + alpha) / 2 rounds to 1, and the stride k must be an
+    integer in [1, N - d - 2], so that the N - k differences outnumber each
+    row's d + 1 parameters; they are kept as a Python float and int.
 
     ``stderr`` is the paper's test scale: the standard error of a_ij,
     conditional on the sample covariance C, times |C_ij / C_ii|.  It is not
@@ -146,6 +146,7 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     samples: as an interval, T +- z stderr covered T's mean in only 7-45%
     of var6-b1 seeds at alpha = 0.90.
     """
+    check_number("alpha", alpha)
     if not 0.0 < alpha <= 1.0 - 2.0**-52:
         raise ValueError(f"alpha must be in (0, 1 - 2**-52], got {alpha}")
     alpha = float(alpha)

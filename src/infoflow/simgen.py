@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .stats import TimeSeriesPanel, check_dt
+from .stats import TimeSeriesPanel, check_dt, check_number
 
 # 6-node benchmark network: cycles (1,2,3) and (4,5), confounder X6.
 VAR6_A = np.array(
@@ -57,11 +57,6 @@ def _check_count(name: str, n, low: int, high: float = math.inf) -> None:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not low <= n < high:
         rule = f">= {low}" if high == math.inf else f"in [{low}, {high})"
         raise ValueError(f"{name} must be an integer {rule}, got {n!r}")
-
-
-def _finite(x) -> bool:
-    """Whether x is a finite number and not a bool, as TimeSeriesPanel requires of dt."""
-    return not isinstance(x, (bool, np.bool_)) and math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,8 @@ class VarSpec:
 
 @dataclass(frozen=True)
 class RosslerSpec:
-    """Three coupled Rossler oscillators, one-way driven by the first; ``check_dt`` rules on dt."""
+    """Three coupled Rossler oscillators, one-way driven by the first; dt (see ``check_dt``),
+    epsilon and each omega entry must be numbers (``check_number``: not bools) and finite."""
 
     omega: tuple = (1.015, 0.985, 0.95)
     epsilon: float = 0.0
@@ -110,9 +106,12 @@ class RosslerSpec:
 
     def __post_init__(self):
         check_dt(self.dt)
-        if not _finite(self.epsilon):
+        check_number("epsilon", self.epsilon)
+        if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if len(self.omega) != 3 or not all(map(_finite, self.omega)):
+        for w in self.omega:
+            check_number("omega entry", w)
+        if len(self.omega) != 3 or not all(map(math.isfinite, self.omega)):
             raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
         _check_count("N_total", self.N_total, 1)
         _check_count("burn_in", self.burn_in, 0, self.N_total)

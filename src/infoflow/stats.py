@@ -8,15 +8,22 @@ memory.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 
+def check_number(name: str, x) -> None:
+    """Raise ValueError naming x unless it is a real number: a bool, a string or None is not."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):  # np.bool_ is not Real
+        shown = bool(x) if isinstance(x, np.bool_) else x
+        raise ValueError(f"{name} must be a number, got {shown!r}")
+
+
 def check_dt(dt) -> None:
-    """Raise ValueError unless dt is a positive finite number; a bool is not a time step."""
-    if isinstance(dt, (bool, np.bool_)):
-        raise ValueError(f"dt must be a number, got {dt}")
+    """Raise ValueError unless dt is a positive finite number (see check_number)."""
+    check_number("dt", dt)
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 

@@ -942,3 +942,14 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                              text=True, timeout=60, check=True).stdout
         assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "rossler"],
+    ["analyze", "--preset", "rossler"],
+], ids=["generate", "analyze"])
+def test_diverging_rossler_is_exit_6(capsys, argv):
+    # a strong negative coupling drives the slaves off to infinity (DivergenceError)
+    code, out, err = run(capsys, *argv, "--seed", "0", "--epsilon", "-50")
+    assert (code, out) == (6, "")
+    assert err == "error: Rossler trajectory diverged at step 182 (|state| > 1e+06)\n"

@@ -89,6 +89,11 @@ class TestGaussianQuantile:
         with pytest.raises(ValueError, match="alpha must be in"):
             estimate_flows(p, alpha=alpha)
 
+    def test_alpha_that_is_not_a_number_is_named(self):
+        p = random_walk_panel(np.random.default_rng(0), d=2, n=100)
+        with pytest.raises(ValueError, match=r"^alpha must be a number, got '0\.9'$"):
+            estimate_flows(p, alpha="0.9")
+
     def test_alpha_whose_quantile_level_rounds_to_one(self):
         # (1 + alpha) / 2 rounds to 1 at the largest double below 1, whose
         # z would be infinite; 1 - 2^-52 still has a finite z

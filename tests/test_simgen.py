@@ -247,25 +247,24 @@ class TestSimulateRossler:
         with pytest.raises(DivergenceError, match="at step 0 "):
             simulate_rossler(spec)
 
-    @pytest.mark.parametrize("kw", [
-        dict(epsilon=float("nan")),
-        dict(epsilon=float("inf")),
-        dict(epsilon=-float("inf")),
-        dict(omega=(1.015, float("nan"), 0.95)),
-        dict(omega=(1.015, 0.985, float("inf"))),
-        dict(dt=float("inf")),
-        dict(omega=(1.0, 2.0)),
-        dict(omega=(1.0, 2.0, 3.0, 4.0)),
-        dict(dt=True),
-        dict(epsilon=np.True_),
-        dict(omega=(True, 0.985, 0.95)),
+    @pytest.mark.parametrize("kw, message", [
+        (dict(epsilon=float("nan")), "epsilon must be finite"),
+        (dict(epsilon=float("inf")), "epsilon must be finite"),
+        (dict(epsilon=-float("inf")), "epsilon must be finite"),
+        (dict(omega=(1.015, float("nan"), 0.95)), "omega must be finite"),
+        (dict(omega=(1.015, 0.985, float("inf"))), "omega must be finite"),
+        (dict(dt=float("inf")), "dt must be positive and finite"),
+        (dict(omega=(1.0, 2.0)), "omega must be finite"),
+        (dict(omega=(1.0, 2.0, 3.0, 4.0)), "omega must be finite"),
+        # a bool is not a number (see check_number), as dt, epsilon or an omega entry
+        (dict(dt=True), "dt must be a number"),
+        (dict(epsilon=np.True_), "epsilon must be a number"),
+        (dict(omega=(True, 0.985, 0.95)), "omega entry must be a number"),
+        (dict(epsilon="0.1"), "epsilon must be a number"),
     ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf",
-            "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool"])
-    def test_non_finite_parameters_rejected(self, kw):
-        name = next(iter(kw))
-        # a bool dt gets the panel's message (see check_dt)
-        rule = "a number" if kw == {"dt": True} else "(positive and )?finite"
-        with pytest.raises(ValueError, match=f"{name} must be {rule}"):
+            "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool", "eps-str"])
+    def test_non_finite_parameters_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
             RosslerSpec(**kw)
 
     def test_strong_coupling_synchronizes_slaves(self):

@@ -33,12 +33,15 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match="dt"):
             panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=0.0)
 
-    @pytest.mark.parametrize("dt", [True, np.True_])
+    @pytest.mark.parametrize("dt", [True, np.True_, "0.1", None])
     def test_rejects_a_bool_dt(self, dt):
-        with pytest.raises(ValueError, match="^dt must be a number, got True$"):
+        # nor any other non-number: each is named, not left to fail a comparison
+        shown = "True" if isinstance(dt, (bool, np.bool_)) else repr(dt)
+        with pytest.raises(ValueError, match=f"^dt must be a number, got {re.escape(shown)}$"):
             panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=dt)
 
-    @pytest.mark.parametrize("dt", [True, np.True_, 0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("dt", [True, np.True_, "0.1", None,
+                                    0.0, -1.0, float("nan"), float("inf")])
     def test_rossler_spec_gives_the_panel_dt_message(self, dt):
         with pytest.raises(ValueError) as panel_error:
             panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=dt)
