@@ -88,9 +88,8 @@ def _read_records(fh):
         if header is None:
             raise ValueError("empty file")
         lineno = 1
-        if len(header) < 3:
-            raise ValueError(f"need a time column plus at least 2 variable columns, "
-                             f"got {len(header)} columns")
+        if len(header) < 2:
+            raise ValueError("need a time column plus at least 1 variable column")
         values = array("d")
         for lineno, cells in enumerate(reader, start=2):
             if not cells:

@@ -72,7 +72,10 @@ class VarSpec:
 
     def __post_init__(self):
         for name in ("A", "alpha_vec", "b_diag"):
-            arr = np.array(getattr(self, name), dtype=float)
+            try:
+                arr = np.array(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):  # "x", object(), a ragged nesting
+                raise ValueError(f"{name} has non-numeric entries") from None
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             if not np.all(np.isfinite(arr)):
@@ -95,7 +98,8 @@ class VarSpec:
 @dataclass(frozen=True)
 class RosslerSpec:
     """Three coupled Rossler oscillators, one-way driven by the first; dt (see ``check_dt``),
-    epsilon and each omega entry must be numbers (``check_number``: not bools) and finite."""
+    epsilon and each omega entry must be numbers (``check_number``: not bools) and finite.
+    omega may be any iterable of 3 entries and is kept as a tuple."""
 
     omega: tuple = (1.015, 0.985, 0.95)
     epsilon: float = 0.0
@@ -109,10 +113,16 @@ class RosslerSpec:
         check_number("epsilon", self.epsilon)
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        for w in self.omega:
-            check_number("omega entry", w)
-        if len(self.omega) != 3 or not all(map(math.isfinite, self.omega)):
+        try:
+            omega = tuple(self.omega)
+        except TypeError:  # not iterable, as 1.0 and None are not
+            omega = ()
+        if len(omega) == 3:
+            for w in omega:
+                check_number("omega entry", w)
+        if len(omega) != 3 or not all(map(math.isfinite, omega)):
             raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
+        object.__setattr__(self, "omega", omega)
         _check_count("N_total", self.N_total, 1)
         _check_count("burn_in", self.burn_in, 0, self.N_total)
         _check_count("seed", self.seed, 0)

@@ -341,11 +341,8 @@ def reference_read_rows(path: str):
             header = next(reader)
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
-        if len(header) < 3:
-            raise ParseError(
-                f"{path}: need a time column plus at least 2 variable columns, "
-                f"got {len(header)} columns"
-            )
+        if len(header) < 2:
+            raise ParseError(f"{path}: need a time column plus at least 1 variable column")
         labels = tuple(name.strip() for name in header[1:])
         rows = []
         for lineno, cells in enumerate(reader, start=2):

@@ -168,9 +168,10 @@ class TestCsvRoundTrip:
             read_csv_panel(str(path))
 
     def test_missing_file(self, tmp_path, capsys):
-        code, _, err = run(capsys, "analyze", "--csv", str(tmp_path / "nope.csv"))
-        assert code == 2
-        assert "error:" in err
+        path = tmp_path / "nope.csv"
+        code, out, err = run(capsys, "analyze", "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: No such file or directory\n"
 
 
 ROWS = ["0,1.5,-2.0", "1,0.25,3e-5", "2,-7.0,1.0", "3,4.5,2.5", "4,0.0,-1e300"]
@@ -224,6 +225,7 @@ READER_CASES = [
     ("empty", b""),
     ("header-only", b"t,a,b\n"),
     ("two-columns", csv_text([r.rsplit(",", 1)[0] for r in ROWS], header="t,a").encode()),
+    ("time-column-only", csv_text([r.split(",", 1)[0] for r in ROWS], header="t").encode()),
     ("extra-cell", csv_text(ROWS[:3] + ["3,1.0,2.0,4.0"] + ROWS[4:]).encode()),
     ("extra-column", csv_text([r + ",1.0" for r in ROWS]).encode()),
     ("huge-header-cell", csv_text(header="t,a," + "b" * HUGE_CELL).encode()),
@@ -544,6 +546,18 @@ class TestAnalyze:
             assert (code, out) == (2, "")
             assert err == f"error: dt must be positive and finite, got {float(dt)}\n"
 
+    def test_one_series_csv_gives_a_one_node_graph(self, tmp_path, capsys):
+        # white noise: its self-influence, about -1, is a self-loop
+        path = tmp_path / "one.csv"
+        with open(path, "w") as fh:
+            write_csv_panel(TimeSeriesPanel(data=np.random.default_rng(2).standard_normal((1, 50)),
+                                            labels=("a",)), fh)
+        code, _, err = run(capsys, "analyze", "--csv", str(path), "--format", "dot",
+                           "--out", str(tmp_path / "g.dot"))
+        assert (code, err) == (0, "")
+        assert (tmp_path / "g.dot").read_text().splitlines()[1:] == [
+            '  "a" [label="a", peripheries=2];', "}"]
+
     def test_header_only_csv_gets_the_panel_size_message(self, tmp_path, capsys):
         path = tmp_path / "p.csv"
         path.write_text("t,a,b\n")
@@ -681,7 +695,7 @@ def analyze_csv_inputs(draw):
     before it, times a scale from 1e-320 to 1e310; the bytes may then be
     cut, spliced with random bytes, given a ragged row or a repeated label.
     """
-    d = draw(st_.integers(2, 4))
+    d = draw(st_.integers(1, 4))
     n = draw(st_.sampled_from(range(d + 1, 41)))
     rng = np.random.default_rng(draw(st_.integers(0, 2**32 - 1)))
     data = np.cumsum(rng.standard_normal((d, n)), axis=1)
@@ -829,6 +843,22 @@ def test_negative_seed_is_one_error_line(capsys, argv):
     assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
+PRESETS = "rossler, var6-b1, var6-b100, var6-b100-short"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--preset", "var6-b1", "--epsilon", "0.1"],
+     "--epsilon applies only to the rossler preset"),
+    (["generate", "var6-b1", "--epsilon", "0.1"], "--epsilon applies only to the rossler preset"),
+    (["analyze", "--preset", "nope"], f"unknown preset 'nope'; available: {PRESETS}"),
+    (["generate", "nope"], f"unknown preset 'nope'; available: {PRESETS}"),
+], ids=["analyze-epsilon", "generate-epsilon", "analyze-unknown", "generate-unknown"])
+def test_bad_preset_choice_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["generate", "var6-b1"],
     ["analyze", "--preset", "var6-b1"],
@@ -893,9 +923,15 @@ class TestCsvPipes:
         assert proc.stdout == want
 
     def test_stdin_pipe_not_utf8(self):
-        proc = self.analyze("/dev/stdin", stdin=b"t,a,b\n0,1,2\n1,\xff,3\n")
-        assert proc.returncode == 2
-        assert proc.stderr == b"error: /dev/stdin: not UTF-8 text (byte 14)\n"
+        for stdin, want in [
+            (b"t,a,b\n0,1,2\n1,\xff,3\n", b"not UTF-8 text (byte 14)"),
+            # the first defect in file order: the bad cell of record 3, not
+            # the ragged record 4 nor the bad byte of record 5
+            (b"t,a,b\n0,1,2\n1,x,3\n2,1\n3,\xff,4\n", b"row 3, column 2: non-numeric cell 'x'"),
+        ]:
+            proc = self.analyze("/dev/stdin", stdin=stdin)
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr == b"error: /dev/stdin: " + want + b"\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,6 +17,7 @@ from infoflow import (
     to_dot,
     to_json,
 )
+from infoflow.cli import main, write_csv_panel
 from infoflow.graph import build_graph
 
 from oracles import reference_doc
@@ -122,10 +123,11 @@ class TestDot:
         assert "->" not in dot
 
     def test_edge_label_format(self):
-        edge = GraphEdge(source="A", target="B", T=0.19, stderr=0.003,
-                         p=0.0, tau=0.132)
-        dot = to_dot(tiny_graph([edge]))
-        assert '"A" -> "B" [label="0.19 (13.2%)"];' in dot
+        # 3 significant digits at any scale: no 0.000, no 150-digit number
+        for T, text in [(0.19, "0.19"), (1.2345e150, "1.23e+150"), (-0.00012345, "-0.000123")]:
+            edge = GraphEdge(source="A", target="B", T=T, stderr=0.003, p=0.0, tau=0.132)
+            dot = to_dot(tiny_graph([edge]))
+            assert f'"A" -> "B" [label="{text} (13.2%)"];' in dot
 
     def test_self_loop_styling(self):
         dot = to_dot(tiny_graph())
@@ -140,19 +142,26 @@ class TestDot:
         assert sum("->" in l for l in lines) == 7
         assert sum("->" not in l and "label=" in l for l in lines) == 6
 
-    def test_keyword_labels_are_quoted_ids(self, var6_b1_panel):
+    def test_keyword_labels_are_quoted_ids(self, var6_b1_panel, tmp_path):
         # DOT's keywords, matched without regard to case: bare, they would
-        # set defaults or break the edge statements instead of naming nodes
+        # set defaults or break the edge statements instead of naming nodes.
+        # The DOT of analyze --csv on a CSV with these labels is checked too.
         labels = ("node", "Edge", "GRAPH", "digraph", "subgraph", "strict")
-        graph = reconstruct(TimeSeriesPanel(data=var6_b1_panel.data, labels=labels))
-        body = to_dot(graph).splitlines()[1:-1]
-        nodes = [l for l in body if " -> " not in l]
-        edges = [l for l in body if " -> " in l]
-        assert len(nodes) == len(labels) and len(edges) == len(graph.edges) == 7
-        for line, label in zip(nodes, labels):
-            assert line.startswith(f'  "{label}" [label="{label}"')
-        for line, edge in zip(edges, graph.edges):
-            assert line.startswith(f'  "{edge.source}" -> "{edge.target}" [label=')
+        panel = TimeSeriesPanel(data=var6_b1_panel.data, labels=labels)
+        graph = reconstruct(panel)
+        with open(tmp_path / "p.csv", "w") as fh:
+            write_csv_panel(panel, fh)
+        assert main(["analyze", "--csv", str(tmp_path / "p.csv"), "--format", "dot",
+                     "--out", str(tmp_path / "g.dot")]) == 0
+        for dot in (to_dot(graph), (tmp_path / "g.dot").read_text()):
+            body = dot.splitlines()[1:-1]
+            nodes = [l for l in body if " -> " not in l]
+            edges = [l for l in body if " -> " in l]
+            assert len(nodes) == len(labels) and len(edges) == len(graph.edges) == 7
+            for line, label in zip(nodes, labels):
+                assert line.startswith(f'  "{label}" [label="{label}"')
+            for line, edge in zip(edges, graph.edges):
+                assert line.startswith(f'  "{edge.source}" -> "{edge.target}" [label=')
 
     def test_quoting_of_awkward_labels(self):
         nodes = (

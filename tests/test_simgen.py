@@ -90,8 +90,11 @@ class TestSimulateVar:
         (dict(N=-5), "N"),
         (dict(N=0), "N"),
         (dict(N=5.0), "N"),
+        (dict(d=1, b_diag=["x"]), "b_diag"),
+        (dict(d=1, b_diag=[object()]), "b_diag"),
     ], ids=["alpha-2-for-d1", "b-2-for-d1", "alpha-1-for-d2", "b-1-for-d2",
-            "A-2x3", "A-1d", "A-nan", "b-inf", "alpha-nan", "N-neg", "N-0", "N-float"])
+            "A-2x3", "A-1d", "A-nan", "b-inf", "alpha-nan", "N-neg", "N-0", "N-float",
+            "b-str", "b-object"])
     def test_bad_fields_rejected(self, kw, name):
         kw = dict(kw)
         d = kw.pop("d", 2)
@@ -261,11 +264,20 @@ class TestSimulateRossler:
         (dict(epsilon=np.True_), "epsilon must be a number"),
         (dict(omega=(True, 0.985, 0.95)), "omega entry must be a number"),
         (dict(epsilon="0.1"), "epsilon must be a number"),
+        # not a sequence: named as the wrong length is
+        (dict(omega=1.0), "omega must be finite with 3 entries"),
+        (dict(omega=None), "omega must be finite with 3 entries"),
     ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf",
-            "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool", "eps-str"])
+            "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool", "eps-str",
+            "omega-float", "omega-none"])
     def test_non_finite_parameters_rejected(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             RosslerSpec(**kw)
+
+    def test_omega_is_kept_as_a_tuple(self):
+        spec = RosslerSpec(omega=[1.0, 0.9, 0.8])
+        assert spec.omega == (1.0, 0.9, 0.8)
+        assert hash(spec) == hash(RosslerSpec(omega=(1.0, 0.9, 0.8)))
 
     def test_strong_coupling_synchronizes_slaves(self):
         panel = simulate_rossler(RosslerSpec(seed=0, epsilon=0.25))
