@@ -72,9 +72,18 @@ class VarSpec:
 
     def __post_init__(self):
         for name in ("A", "alpha_vec", "b_diag"):
+            value = getattr(self, name)
             try:
-                arr = np.array(getattr(self, name), dtype=float)
-            except (TypeError, ValueError):  # "x", object(), a ragged nesting
+                # A bool or text entry is not a number, though float() takes it.
+                # An integer or float array holds neither; a list may hide a
+                # bool that numpy would promote to float.
+                entries = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+                if entries.dtype.kind not in "iuf" and not all(
+                        isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        for v in entries.flat):
+                    raise TypeError
+                arr = entries.astype(float)
+            except (TypeError, ValueError):  # "x", True, object(), a ragged nesting
                 raise ValueError(f"{name} has non-numeric entries") from None
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

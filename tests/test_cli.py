@@ -119,11 +119,6 @@ class TestGenerate:
             f"{n},{','.join(map(repr, row))}\n" for n, row in enumerate(data.T.tolist()))
         assert out.read_text() == expected
 
-    def test_non_finite_epsilon_exit_code(self, capsys):
-        code, _, err = run(capsys, "generate", "rossler", "--epsilon", "nan")
-        assert code == 2
-        assert err == "error: epsilon must be finite, got nan\n"
-
     def test_stdout_default(self, capsys):
         code, out, _ = run(capsys, "generate", "var6-b100-short")
         assert code == 0
@@ -142,30 +137,6 @@ class TestCsvRoundTrip:
         back = read_csv_panel(str(path), dt=0.5)
         assert back.labels == panel.labels
         np.testing.assert_array_equal(back.data, panel.data)
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,a,b\n0,1.0,2.0\n1,3.0\n")
-        from infoflow import ParseError
-
-        with pytest.raises(ParseError, match="row 3"):
-            read_csv_panel(str(path))
-
-    def test_non_numeric_cell_names_location(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,a,b\n0,1.0,2.0\n1,oops,4.0\n2,5.0,6.0\n")
-        from infoflow import ParseError
-
-        with pytest.raises(ParseError, match="row 3, column 2"):
-            read_csv_panel(str(path))
-
-    def test_nan_cell_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("t,a,b\n0,1.0,2.0\n1,nan,4.0\n2,5.0,6.0\n")
-        from infoflow import ParseError
-
-        with pytest.raises(ParseError, match="non-finite"):
-            read_csv_panel(str(path))
 
     def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "nope.csv"
@@ -453,17 +424,6 @@ class TestOutputPath:
 
 
 class TestAnalyze:
-    def test_preset_json_artifact(self, tmp_path, capsys):
-        out = tmp_path / "graph.json"
-        code, stdout, _ = run(capsys, "analyze", "--preset", "var6-b1",
-                              "--seed", "5", "--out", str(out))
-        assert code == 0
-        assert "Information flow" in stdout
-        doc = json.loads(out.read_text())
-        assert doc["meta"]["d"] == 6
-        assert doc["meta"]["k"] == 1
-        assert len(doc["edges"]["T"]) == 7
-
     def test_csv_input_matches_preset(self, tmp_path, capsys):
         panel_csv = tmp_path / "p.csv"
         run(capsys, "generate", "var6-b1", "--seed", "5", "--out", str(panel_csv))
@@ -476,15 +436,6 @@ class TestAnalyze:
         b = json.loads(from_preset.read_text())
         assert a["flow_matrix"] == b["flow_matrix"]
         assert a["edges"] == b["edges"]
-
-    def test_dot_format(self, tmp_path, capsys):
-        out = tmp_path / "g.dot"
-        code, _, _ = run(capsys, "analyze", "--preset", "var6-b1", "--seed", "5",
-                         "--format", "dot", "--out", str(out))
-        assert code == 0
-        text = out.read_text()
-        assert text.startswith("digraph")
-        assert text.count("->") == 7
 
     def test_csv_matrix_format(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
@@ -564,11 +515,6 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", "--csv", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: need N >= d + 3 samples, got N=0 for d=2\n"
-
-    def test_non_finite_epsilon_exit_code(self, capsys):
-        code, _, err = run(capsys, "analyze", "--preset", "rossler", "--epsilon", "nan")
-        assert code == 2
-        assert err == "error: epsilon must be finite, got nan\n"
 
     def test_dt_with_preset_rejected(self, capsys):
         code, _, err = run(capsys, "analyze", "--preset", "var6-b1", "--dt", "0.5")
@@ -678,13 +624,6 @@ class TestAnalyze:
             for i, cell in enumerate(fields[1:]):
                 if i != j:
                     assert float(cell.rstrip("*")) == pytest.approx(T[j, i], rel=1e-2, abs=0.0)
-
-    def test_determinism_byte_identical(self, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        run(capsys, "analyze", "--preset", "var6-b100-short", "--out", str(a))
-        run(capsys, "analyze", "--preset", "var6-b100-short", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
 
 
 @st_.composite
@@ -841,6 +780,16 @@ def test_negative_seed_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv, "--seed", "-1")
     assert (code, out) == (2, "")
     assert err == "error: seed must be an integer >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "rossler"],
+    ["analyze", "--preset", "rossler"],
+], ids=["generate", "analyze"])
+def test_non_finite_epsilon_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv, "--epsilon", "nan")
+    assert (code, out) == (2, "")
+    assert err == "error: epsilon must be finite, got nan\n"
 
 
 PRESETS = "rossler, var6-b1, var6-b100, var6-b100-short"

@@ -1,4 +1,5 @@
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -54,24 +55,6 @@ class TestReconstruct:
     def test_master_slave_one_way(self):
         graph = reconstruct(master_slave_panel(seed=0))
         assert edge_index_set(graph) == {(1, 2)}
-
-    def test_no_self_edges_ever(self, var6_b1_panel):
-        # every node is a self-loop here, so every diagonal verdict is True
-        graph = reconstruct(var6_b1_panel)
-        assert all(node.is_self_loop for node in graph.nodes)
-        assert all(e.source != e.target for e in graph.edges)
-
-    def test_white_noise_edge_count_near_alpha_complement(self):
-        # independent series: expect (1 - alpha) * d * (d - 1) edges on average
-        d, n, trials = 3, 400, 120
-        counts = []
-        for seed in range(trials):
-            rng = np.random.default_rng(9000 + seed)
-            panel = TimeSeriesPanel(data=rng.standard_normal((d, n)))
-            counts.append(len(reconstruct(panel, alpha=0.90).edges))
-        pairs = trials * d * (d - 1)
-        rate = sum(counts) / pairs
-        assert abs(rate - 0.10) < 3.0 * np.sqrt(0.1 * 0.9 / pairs)
 
     def test_relabeling_invariance(self, var6_b1_panel):
         graph = reconstruct(var6_b1_panel)
@@ -163,25 +146,16 @@ class TestDot:
             for line, edge in zip(edges, graph.edges):
                 assert line.startswith(f'  "{edge.source}" -> "{edge.target}" [label=')
 
-    def test_quoting_of_awkward_labels(self):
-        nodes = (
-            GraphNode(label="rate 1", self_influence=0.0, self_stderr=1.0,
-                      is_self_loop=False, noise_rate=0.1),
-            GraphNode(label="B", self_influence=0.0, self_stderr=1.0,
-                      is_self_loop=False, noise_rate=0.1),
-        )
-        g = CausalGraph(nodes=nodes, edges=(), flow_matrix=((None, 0.0), (0.0, None)),
-                        alpha=0.9, k=1, dt=1.0, n=10)
-        assert '"rate 1"' in to_dot(g)
-
     def test_escaping_of_quotes_backslashes_and_newlines(self):
+        # "rate 1" holds a space: only quoting keeps it one ID
+        labels = ('q"d', "b\\", "c\n", "rate 1")
         nodes = tuple(
             GraphNode(label=label, self_influence=0.0, self_stderr=1.0,
                       is_self_loop=False, noise_rate=0.1)
-            for label in ('q"d', "b\\", "c\n")
+            for label in labels
         )
         edge = GraphEdge(source='q"d', target="b\\", T=0.5, stderr=0.1, p=0.0, tau=0.25)
-        flow_matrix = ((None, 0.5, 0.0), (0.0, None, 0.0), (0.0, 0.0, None))
+        flow_matrix = tuple(tuple(None if j == i else 0.0 for i in range(4)) for j in range(4))
         g = CausalGraph(nodes=nodes, edges=(edge,), flow_matrix=flow_matrix,
                         alpha=0.9, k=1, dt=1.0, n=10)
         assert to_dot(g) == (
@@ -189,6 +163,7 @@ class TestDot:
             r'  "q\"d" [label="q\"d"];' "\n"
             r'  "b\\" [label="b\\"];' "\n"
             '  "c\n" [label="c\n"];\n'
+            '  "rate 1" [label="rate 1"];\n'
             r'  "q\"d" -> "b\\" [label="0.5 (25.0%)"];' "\n"
             "}\n"
         )
@@ -217,15 +192,9 @@ label_text = (st_.text(st_.sampled_from('ab,"\\ \n\t\x00\x1f\x7fé€😀'), max
 SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2e-308, 1e300)
 
 
-def scalars(finite):
-    floats = st_.floats(allow_nan=not finite, allow_infinity=not finite)
-    special = [v for v in SPECIAL_FLOATS if not finite or np.isfinite(v)]
-    return floats | st_.sampled_from(special) | st_.integers() | st_.booleans()
-
-
 @st_.composite
-def causal_graphs(draw, finite=False):
-    value = scalars(finite)
+def causal_graphs(draw):
+    value = st_.floats() | st_.sampled_from(SPECIAL_FLOATS) | st_.integers() | st_.booleans()
     d = draw(st_.integers(0, 6))
     labels = draw(st_.lists(label_text, min_size=d, max_size=d))
     nodes = tuple(GraphNode(label, *draw(st_.tuples(value, value, value, value)))
@@ -307,16 +276,19 @@ class TestJson:
         assert from_json(to_json(graph)) == graph
 
     @given(causal_graphs())
-    @settings(max_examples=300, deadline=None)
-    def test_same_text_as_json_dumps(self, graph):
-        assert to_json(graph) == reference_text(graph)
-
-    @given(causal_graphs(finite=True))
     @example(CausalGraph(nodes=(), edges=(), flow_matrix=(), alpha=0.9, k=1, dt=1.0, n=0))
     @example(tiny_graph())
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_identity_of_any_finite_graph(self, graph):
-        assert from_json(to_json(graph)) == graph
+    @example(CausalGraph(nodes=(GraphNode("A", float("nan"), float("inf"), True, -float("inf")),),
+                         edges=(), flow_matrix=((None,),), alpha=0.9, k=1, dt=1.0, n=10))
+    @settings(max_examples=150, deadline=None)
+    def test_text_and_round_trip_of_any_graph(self, graph):
+        text = to_json(graph)
+        assert text == reference_text(graph)
+        assert to_json(from_json(text)) == text
+        # NaN equals nothing, so only a graph without one can compare equal
+        values = [*chain(*graph.nodes, *graph.edges, *graph.flow_matrix), graph.alpha, graph.dt]
+        if all(v == v for v in values):
+            assert from_json(text) == graph
 
     def test_string_value_round_trips(self):
         node = GraphNode("A", "1,2", 0.1, True, 0.5)
@@ -337,11 +309,3 @@ class TestJson:
         doc[table][column].pop()
         with pytest.raises(ValueError, match="shorter"):
             from_json(json.dumps(doc))
-
-
-class TestDeterminism:
-    def test_identical_inputs_identical_bytes(self, var6_b1_panel):
-        g1 = reconstruct(var6_b1_panel)
-        g2 = reconstruct(var6_b1_panel)
-        assert to_json(g1) == to_json(g2)
-        assert to_dot(g1) == to_dot(g2)

@@ -92,9 +92,15 @@ class TestSimulateVar:
         (dict(N=5.0), "N"),
         (dict(d=1, b_diag=["x"]), "b_diag"),
         (dict(d=1, b_diag=[object()]), "b_diag"),
+        # float() takes each of these, but text and bools are not numbers
+        (dict(d=1, alpha_vec=["0.25"]), "alpha_vec"),
+        (dict(d=1, b_diag=[True]), "b_diag"),
+        (dict(d=1, A=np.array([[True]])), "A"),
+        (dict(d=2, alpha_vec=[0.0, False]), "alpha_vec"),
     ], ids=["alpha-2-for-d1", "b-2-for-d1", "alpha-1-for-d2", "b-1-for-d2",
             "A-2x3", "A-1d", "A-nan", "b-inf", "alpha-nan", "N-neg", "N-0", "N-float",
-            "b-str", "b-object"])
+            "b-str", "b-object", "alpha-numeric-str", "b-bool", "A-bool-array",
+            "alpha-bool-among-floats"])
     def test_bad_fields_rejected(self, kw, name):
         kw = dict(kw)
         d = kw.pop("d", 2)
