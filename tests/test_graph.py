@@ -281,7 +281,7 @@ class TestJson:
     @example(CausalGraph(nodes=(GraphNode("A", float("nan"), float("inf"), True, -float("inf")),),
                          edges=(), flow_matrix=((None,),), alpha=0.9, k=1, dt=1.0, n=10))
     @settings(max_examples=150, deadline=None)
-    def test_text_and_round_trip_of_any_graph(self, graph):
+    def test_round_trip_identity_of_any_finite_graph(self, graph):
         text = to_json(graph)
         assert text == reference_text(graph)
         assert to_json(from_json(text)) == text
