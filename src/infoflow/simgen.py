@@ -85,6 +85,8 @@ class VarSpec:
                 arr = entries.astype(float)
             except (TypeError, ValueError):  # "x", True, object(), a ragged nesting
                 raise ValueError(f"{name} has non-numeric entries") from None
+            except OverflowError:  # an integer beyond float64
+                raise ValueError(f"{name} has non-finite entries") from None
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             if not np.all(np.isfinite(arr)):
@@ -119,17 +121,14 @@ class RosslerSpec:
 
     def __post_init__(self):
         check_dt(self.dt)
-        check_number("epsilon", self.epsilon)
-        if not math.isfinite(self.epsilon):
+        if not math.isfinite(check_number("epsilon", self.epsilon)):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
         try:
             omega = tuple(self.omega)
         except TypeError:  # not iterable, as 1.0 and None are not
             omega = ()
-        if len(omega) == 3:
-            for w in omega:
-                check_number("omega entry", w)
-        if len(omega) != 3 or not all(map(math.isfinite, omega)):
+        values = [check_number("omega entry", w) for w in omega] if len(omega) == 3 else []
+        if len(values) != 3 or not all(map(math.isfinite, values)):
             raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
         object.__setattr__(self, "omega", omega)
         _check_count("N_total", self.N_total, 1)

@@ -14,17 +14,22 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def check_number(name: str, x) -> None:
-    """Raise ValueError naming x unless it is a real number: a bool, a string or None is not."""
+def check_number(name: str, x) -> float:
+    """Return x as a float; raise ValueError naming x unless it is a real number: a bool,
+    a string or None is not.  An integer beyond float64 is returned as +-inf, so the
+    caller's finiteness check rejects it with that field's own message."""
     if isinstance(x, bool) or not isinstance(x, numbers.Real):  # np.bool_ is not Real
         shown = bool(x) if isinstance(x, np.bool_) else x
         raise ValueError(f"{name} must be a number, got {shown!r}")
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def check_dt(dt) -> None:
     """Raise ValueError unless dt is a positive finite number (see check_number)."""
-    check_number("dt", dt)
-    if not 0 < dt < math.inf:
+    if not 0 < check_number("dt", dt) < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
 
 
@@ -47,7 +52,10 @@ class TimeSeriesPanel:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=float, order="C")
+        try:
+            data = np.array(self.data, dtype=float, order="C")
+        except OverflowError:  # an integer beyond float64
+            raise ValueError("panel contains non-finite values") from None
         if data.ndim != 2:
             raise ValueError(f"panel data must be 2-D (d, N), got shape {data.shape}")
         d, n = data.shape

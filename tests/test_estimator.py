@@ -19,23 +19,15 @@ from infoflow.simgen import preset_panel
 
 from conftest import random_walk_panel
 from oracles import (
+    cofactor_solution,
     compute_statistics,
     derive_series,
-    fisher_block,
     fit_row,
     reference_ci,
     reference_flows,
     reference_p,
     reference_z,
 )
-
-
-def fitted(panel, k=1):
-    """Oracle per-row fits: derived series, moments and one RowMLE per row."""
-    der = derive_series(panel, k)
-    st = compute_statistics(panel, der)
-    rows = [fit_row(st, panel, der, i) for i in range(panel.d)]
-    return der, st, rows
 
 
 def assert_edge_p(edges, alpha):
@@ -68,9 +60,6 @@ class TestGaussianQuantile:
             np.testing.assert_array_equal(m.significant, np.abs(m.T) > z * m.stderr)
             np.testing.assert_array_equal(np.diag(m.significant),
                                           np.abs(np.diag(m.T)) > z * np.diag(m.stderr))
-
-    def test_symmetry(self):
-        assert reference_z(-0.90) == pytest.approx(-reference_z(0.90))
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
     def test_domain(self, alpha):
@@ -133,7 +122,9 @@ class TestInfoFlow:
         # sqrt(g_i (C^-1)_ii / (dt n)), and significant[i, i] is the z-test
         # every flow gets
         p = random_walk_panel(rng, d=3, n=100)
-        _, st, rows = fitted(p)
+        der = derive_series(p)
+        st = compute_statistics(p, der)
+        rows = [fit_row(st, p, der, i) for i in range(p.d)]
         a_ii = [row.a_hat[i] for i, row in enumerate(rows)]
         g = np.array([row.g_hat for row in rows])
         se = np.sqrt(g * np.diag(np.linalg.inv(st.C)) / p.dt / st.n_used)
@@ -214,44 +205,7 @@ class TestNoiseRate:
             np.testing.assert_allclose(got, expected, rtol=0.10)
 
 
-class TestFisherBlock:
-    def test_symmetric_with_nonnegative_variances(self, rng):
-        p = random_walk_panel(rng, d=4, n=300)
-        der, st, rows = fitted(p)
-        fb = fisher_block(p, der, rows[2], 2)
-        np.testing.assert_allclose(fb.matrix, fb.matrix.T, rtol=1e-10)
-        assert np.all(np.diag(fb.param_cov) >= 0.0)
-
-    def test_param_cov_shrinks_like_one_over_n(self):
-        rng = np.random.default_rng(17)
-        x = np.zeros(40000)
-        e = rng.standard_normal(40000)
-        for t in range(1, 40000):
-            x[t] = 0.7 * x[t - 1] + e[t]
-        y = rng.standard_normal(40000)
-        data = np.vstack([x, y])
-        halves = []
-        for n in (20000, 40000):
-            p = TimeSeriesPanel(data=data[:, :n])
-            der, st, rows = fitted(p)
-            fb = fisher_block(p, der, rows[0], 0)
-            halves.append(fb.coef_var(0))
-        assert halves[0] / halves[1] == pytest.approx(2.0, rel=0.15)
-
-
 class TestSignificance:
-    def test_ci_arithmetic_at_90(self):
-        ci_low, ci_high, significant = reference_ci(0.10, 0.01, alpha=0.90)
-        assert ci_low == pytest.approx(0.10 - 1.6448536269514722 * 0.01, abs=1e-9)
-        assert ci_high == pytest.approx(0.10 + 1.6448536269514722 * 0.01, abs=1e-9)
-        assert significant
-
-    def test_small_flow_not_significant(self):
-        ci_low, ci_high, significant = reference_ci(0.005, 0.01, alpha=0.90)
-        assert not significant
-        assert ci_low < 0.0 < ci_high
-        assert reference_p(0.005, 0.01) > 0.10
-
     @given(
         seed=st_.integers(0, 2**32 - 1),
         d=st_.integers(1, 8),
@@ -267,18 +221,6 @@ class TestSignificance:
         np.testing.assert_array_equal(m.significant, reference_ci(m.T, m.stderr, alpha)[2])
         assert_edge_p(build_graph(m, p).edges, alpha)
 
-    @given(
-        value=st_.floats(allow_nan=False, allow_infinity=False),
-        stderr=st_.floats(min_value=0.0, allow_infinity=False),
-        alpha=st_.floats(1e-6, 1.0 - 1e-6),
-    )
-    @settings(max_examples=500, deadline=None)
-    def test_abs_form_equals_ci_form(self, value, stderr, alpha):
-        # |v| > z se, the estimator's form, is "the CI excludes zero" in
-        # IEEE arithmetic too: a difference of unequal floats is never 0
-        w = reference_z(alpha) * stderr
-        assert (abs(value) > w) == ((value - w > 0.0) or (value + w < 0.0))
-
 
 def max_rel(got, want, normwise=False):
     scale = np.max(np.abs(want)) if normwise else np.abs(want)
@@ -288,7 +230,7 @@ def max_rel(got, want, normwise=False):
 class TestClosedFormMatchesOracle:
     @given(
         seed=st_.integers(0, 2**32 - 1),
-        d=st_.integers(2, 8),
+        d=st_.integers(1, 8),
         n=st_.integers(60, 400),
         dt=st_.sampled_from([0.01, 0.1, 1.0, 5.0]),
         k=st_.sampled_from([1, 2, 3]),
@@ -299,12 +241,30 @@ class TestClosedFormMatchesOracle:
         der = derive_series(p, k)
         ref = reference_flows(compute_statistics(p, der), p, der, alpha=0.90)
         m = estimate_flows(p, k=k, alpha=0.90)
-        off = ~np.eye(d, dtype=bool)
-        assert max_rel(m.T[off], ref["T"][off], normwise=True) <= 1e-12
-        assert max_rel(np.diag(m.T), np.diag(ref["T"]), normwise=True) <= 1e-12
+        if d > 1:
+            off = ~np.eye(d, dtype=bool)
+            assert max_rel(m.T[off], ref["T"][off], normwise=True) <= 1e-12
+            assert max_rel(np.diag(m.T), np.diag(ref["T"]), normwise=True) <= 1e-12
+        else:
+            # a lone a_11 can be 1e-4 of its stderr, and Cd's cancellation
+            # leaves both paths eps * sum|xc dc| / |sum xc dc| of it apart
+            # (2.4e-12 relative in 1 of 6000 draws): measure it on the z-test's scale
+            t, ref_t, ref_se = m.T[0, 0], ref["T"][0, 0], ref["stderr"][0, 0]
+            assert abs(t - ref_t) <= 1e-12 * max(abs(ref_t), ref_se)
         assert max_rel(m.stderr, ref["stderr"]) <= 1e-12
         assert max_rel(m.noise_rate, ref["noise_rate"]) <= 1e-12
         np.testing.assert_array_equal(m.significant, ref["significant"])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_matches_cofactor_expansion(self, d):
+        # T[j, i] = a_ij C_ij / C_ii, with row i of the normal equations
+        # solved by explicit cofactor expansion
+        p = random_walk_panel(np.random.default_rng(100 + d), d=d, n=400)
+        st = compute_statistics(p, derive_series(p, k=1))
+        m = estimate_flows(p)
+        for i in range(d):
+            a = cofactor_solution(st, i)
+            np.testing.assert_allclose(m.T[:, i], a * st.C[i] / st.C[i, i], rtol=1e-8)
 
 
 def fit_outcome(panel, k):
@@ -527,3 +487,16 @@ class TestInvariance:
         for name in ("T", "stderr", "noise_rate"):
             np.testing.assert_allclose(getattr(m, name) * dt, getattr(unit, name),
                                        rtol=1e-15, atol=0.0)
+
+    @given(seed=st_.integers(0, 2**32 - 1), n=st_.integers(60, 300),
+           perm=st_.integers(2, 5).flatmap(lambda d: st_.permutations(range(d))))
+    @settings(max_examples=80, deadline=None)
+    def test_permutation_relabels_every_output(self, seed, n, perm):
+        p = random_walk_panel(np.random.default_rng(seed), d=len(perm), n=n)
+        unit = estimate_flows(p)
+        m = estimate_flows(TimeSeriesPanel(data=p.data[perm]))
+        pair = np.ix_(perm, perm)
+        assert np.array_equal(m.significant, unit.significant[pair])
+        for name in ("T", "tau", "stderr"):
+            assert max_rel(getattr(m, name), getattr(unit, name)[pair], normwise=True) <= 1e-12
+        assert max_rel(m.noise_rate, unit.noise_rate[perm], normwise=True) <= 1e-12

@@ -97,10 +97,12 @@ class TestSimulateVar:
         (dict(d=1, b_diag=[True]), "b_diag"),
         (dict(d=1, A=np.array([[True]])), "A"),
         (dict(d=2, alpha_vec=[0.0, False]), "alpha_vec"),
+        # an integer beyond float64 is not finite
+        (dict(d=1, A=[[10**400]]), "A"),
     ], ids=["alpha-2-for-d1", "b-2-for-d1", "alpha-1-for-d2", "b-1-for-d2",
             "A-2x3", "A-1d", "A-nan", "b-inf", "alpha-nan", "N-neg", "N-0", "N-float",
             "b-str", "b-object", "alpha-numeric-str", "b-bool", "A-bool-array",
-            "alpha-bool-among-floats"])
+            "alpha-bool-among-floats", "A-int-beyond-float64"])
     def test_bad_fields_rejected(self, kw, name):
         kw = dict(kw)
         d = kw.pop("d", 2)
@@ -273,9 +275,14 @@ class TestSimulateRossler:
         # not a sequence: named as the wrong length is
         (dict(omega=1.0), "omega must be finite with 3 entries"),
         (dict(omega=None), "omega must be finite with 3 entries"),
+        # an integer beyond float64 is not finite
+        (dict(epsilon=10**400), "epsilon must be finite"),
+        (dict(omega=(10**400, 1, 1)), "omega must be finite"),
+        (dict(dt=10**400), "dt must be positive and finite"),
     ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf",
             "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool", "eps-str",
-            "omega-float", "omega-none"])
+            "omega-float", "omega-none", "eps-int-beyond-float64",
+            "omega-int-beyond-float64", "dt-int-beyond-float64"])
     def test_non_finite_parameters_rejected(self, kw, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             RosslerSpec(**kw)
