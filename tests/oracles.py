@@ -97,17 +97,12 @@ class FisherBlock:
         return float(self.param_cov[1 + j, 1 + j])
 
 
-def aligned_samples(panel, derived):
-    """The first N - k panel columns, index-aligned with the derived series."""
-    return panel.data[:, : derived.shape[1]], derived
-
-
 def fit_row(stats, panel, derived, i) -> RowMLE:
     """Solve the normal equations C a = Cd[:, i] for target row i."""
     a_hat = np.linalg.solve(stats.C, stats.Cd[:, i])
     f_hat = float(stats.dot_means[i] - a_hat @ stats.means)
-    x, dot = aligned_samples(panel, derived)
-    residuals = dot[i] - f_hat - a_hat @ x
+    x = panel.data[:, : stats.n_used]  # aligned with the derived series
+    residuals = derived[i] - f_hat - a_hat @ x
     g_hat = float(residuals @ residuals) * panel.dt / stats.n_used
     return RowMLE(f_hat=f_hat, a_hat=a_hat, g_hat=g_hat)
 
@@ -122,12 +117,12 @@ def fisher_block(panel, derived, row, i) -> FisherBlock:
     with residual R_n = dotX_{i,n} - f - a . X_n.  Entries are the
     analytic second derivatives averaged over samples, negated.
     """
-    x, dot = aligned_samples(panel, derived)
+    x = panel.data[:, : derived.shape[1]]  # aligned with the derived series
     d, n = x.shape
     dt = panel.dt
     b2 = row.g_hat
     b = np.sqrt(b2)
-    resid = dot[i] - row.f_hat - row.a_hat @ x
+    resid = derived[i] - row.f_hat - row.a_hat @ x
 
     u = np.vstack([np.ones(n), x])  # (d+1, n) regressor rows (1, X_1..X_d)
     I = np.zeros((d + 2, d + 2))
