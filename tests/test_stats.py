@@ -6,6 +6,7 @@ import pytest
 from infoflow import (
     RosslerSpec,
     TimeSeriesPanel,
+    estimate_flows,
     reconstruct,
     simulate_rossler,
     simulate_var,
@@ -136,3 +137,14 @@ class TestPanelLayout:
             write_csv_panel(random_walk_panel(rng, d=3, n=50), fh)
         assert_series_major(read_csv_panel(str(path)))
 
+
+class TestFitRow:
+    def test_scalar_least_squares_identity(self, rng):
+        # one series: a_11 is the slope of the forward difference on x,
+        # sum(xc * dc) / sum(xc * xc) over the N - 1 aligned samples
+        x = np.cumsum(rng.standard_normal(200))
+        xc = x[:-1] - x[:-1].mean()
+        dc = np.diff(x) - np.diff(x).mean()
+        want = np.dot(xc, dc) / np.dot(xc, xc)
+        T = estimate_flows(TimeSeriesPanel(data=x[None, :])).T
+        assert T[0, 0] == pytest.approx(want, rel=1e-12)
