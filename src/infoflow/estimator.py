@@ -146,10 +146,9 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     samples: as an interval, T +- z stderr covered T's mean in only 7-45%
     of var6-b1 seeds at alpha = 0.90.
     """
-    check_number("alpha", alpha)
+    alpha = check_number("alpha", alpha)
     if not 0.0 < alpha <= 1.0 - 2.0**-52:
         raise ValueError(f"alpha must be in (0, 1 - 2**-52], got {alpha}")
-    alpha = float(alpha)
     last = panel.n - panel.d - 2
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= last:
         raise ValueError(f"stride k={k!r} must be an integer in [1, N - d - 2] = [1, {last}]")

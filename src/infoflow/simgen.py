@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .stats import TimeSeriesPanel, check_dt, check_number
+from .stats import TimeSeriesPanel, check_array, check_dt, check_number
 
 # 6-node benchmark network: cycles (1,2,3) and (4,5), confounder X6.
 VAR6_A = np.array(
@@ -72,25 +72,7 @@ class VarSpec:
 
     def __post_init__(self):
         for name in ("A", "alpha_vec", "b_diag"):
-            value = getattr(self, name)
-            try:
-                # A bool or text entry is not a number, though float() takes it.
-                # An integer or float array holds neither; a list may hide a
-                # bool that numpy would promote to float.
-                entries = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
-                if entries.dtype.kind not in "iuf" and not all(
-                        isinstance(v, numbers.Real) and not isinstance(v, bool)
-                        for v in entries.flat):
-                    raise TypeError
-                arr = entries.astype(float)
-            except (TypeError, ValueError):  # "x", True, object(), a ragged nesting
-                raise ValueError(f"{name} has non-numeric entries") from None
-            except OverflowError:  # an integer beyond float64
-                raise ValueError(f"{name} has non-finite entries") from None
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} has non-finite entries")
+            object.__setattr__(self, name, check_array(name, getattr(self, name)))
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise ValueError(f"A must be a square 2-D matrix, got shape {self.A.shape}")
         for name in ("alpha_vec", "b_diag"):
@@ -108,9 +90,9 @@ class VarSpec:
 
 @dataclass(frozen=True)
 class RosslerSpec:
-    """Three coupled Rossler oscillators, one-way driven by the first; dt (see ``check_dt``),
-    epsilon and each omega entry must be numbers (``check_number``: not bools) and finite.
-    omega may be any iterable of 3 entries and is kept as a tuple."""
+    """Three coupled Rossler oscillators, one-way driven by the first; dt (see ``check_dt``)
+    and epsilon must be numbers (``check_number``: not bools) and finite, and omega an
+    array of 3 entries (``check_array``), kept as a tuple of floats."""
 
     omega: tuple = (1.015, 0.985, 0.95)
     epsilon: float = 0.0
@@ -121,16 +103,13 @@ class RosslerSpec:
 
     def __post_init__(self):
         check_dt(self.dt)
-        if not math.isfinite(check_number("epsilon", self.epsilon)):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        try:
-            omega = tuple(self.omega)
-        except TypeError:  # not iterable, as 1.0 and None are not
-            omega = ()
-        values = [check_number("omega entry", w) for w in omega] if len(omega) == 3 else []
-        if len(values) != 3 or not all(map(math.isfinite, values)):
-            raise ValueError(f"omega must be finite with 3 entries, got {self.omega}")
-        object.__setattr__(self, "omega", omega)
+        epsilon = check_number("epsilon", self.epsilon)
+        if not math.isfinite(epsilon):
+            raise ValueError(f"epsilon must be finite, got {epsilon}")
+        omega = check_array("omega", self.omega)
+        if omega.shape != (3,):
+            raise ValueError(f"omega must have shape (3,), got {omega.shape}")
+        object.__setattr__(self, "omega", tuple(omega.tolist()))
         _check_count("N_total", self.N_total, 1)
         _check_count("burn_in", self.burn_in, 0, self.N_total)
         _check_count("seed", self.seed, 0)
@@ -205,7 +184,7 @@ def simulate_rossler(spec: RosslerSpec) -> TimeSeriesPanel:
     """
     rng = np.random.default_rng(spec.seed)
     x1, x2, x3, y1, y2, y3, z1, z2, z3 = rng.uniform(0.0, 1.0, 9).tolist()
-    w1, w2, w3 = (float(w) for w in spec.omega)
+    w1, w2, w3 = spec.omega
     eps = float(spec.epsilon)
     dt = float(spec.dt)
     half_dt = 0.5 * dt

@@ -27,23 +27,50 @@ def check_number(name: str, x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
-def check_dt(dt) -> None:
-    """Raise ValueError unless dt is a positive finite number (see check_number)."""
-    if not 0 < check_number("dt", dt) < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+def check_dt(dt) -> float:
+    """Return dt as a float; raise ValueError unless it is a positive finite number."""
+    value = check_number("dt", dt)
+    if not 0 < value < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {value}")
+    return value
+
+
+def check_array(name: str, value) -> np.ndarray:
+    """Return value as a read-only, C-contiguous float64 copy; raise ValueError
+    ``<name> has non-numeric entries`` unless every entry is a real number (see
+    check_number; a ragged nesting is not) and ``<name> has non-finite entries`` for
+    NaN, +-inf or an integer beyond float64.  An int, uint or float ndarray is copied
+    with no walk over its entries; other values, lists too, have each entry type checked."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = np.array(value, dtype=float, order="C")
+    else:
+        try:
+            entries = np.array(value, dtype=object)  # ValueError: a nesting numpy cannot shape
+            if not all(issubclass(t, numbers.Real) and t is not bool
+                       for t in set(map(type, entries.flat))):
+                raise TypeError
+            arr = entries.astype(float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} has non-numeric entries") from None
+        except OverflowError:  # an integer beyond float64
+            raise ValueError(f"{name} has non-finite entries") from None
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} has non-finite entries")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class TimeSeriesPanel:
     """d equi-spaced stationary series of length N with time step dt.
 
-    ``data`` has shape (d, N): one row per variable.  The panel keeps its
-    own read-only, C-contiguous (series-major) float64 copy, whatever the
-    layout of the array passed in, and ``dt``, checked by ``check_dt``, as
-    a Python float.  ``labels`` may be any sequence of d strings, a
-    numpy array included but not one string, and is kept as a tuple of
-    ``str``; an empty one gives X1..Xd.  Series must be complete (no NaN/inf)
-    and long enough that the normal-equation system is overdetermined
+    ``data`` has shape (d, N): one row per variable, of real finite numbers.
+    The panel keeps the read-only, C-contiguous (series-major) float64 copy
+    that ``check_array`` makes, whatever the layout of the data passed in,
+    and ``dt``, checked by ``check_dt``, as a Python float.  ``labels`` may
+    be any sequence of d strings, a numpy array included but not one string,
+    and is kept as a tuple of ``str``; an empty one gives X1..Xd.  Series
+    must be long enough that the normal-equation system is overdetermined
     (N >= d + 3, d >= 1).  No caller restates these rules.
     """
 
@@ -52,10 +79,7 @@ class TimeSeriesPanel:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        try:
-            data = np.array(self.data, dtype=float, order="C")
-        except OverflowError:  # an integer beyond float64
-            raise ValueError("panel contains non-finite values") from None
+        data = check_array("panel data", self.data)
         if data.ndim != 2:
             raise ValueError(f"panel data must be 2-D (d, N), got shape {data.shape}")
         d, n = data.shape
@@ -63,9 +87,7 @@ class TimeSeriesPanel:
             raise ValueError("panel needs at least one variable row")
         if n < d + 3:
             raise ValueError(f"need N >= d + 3 samples, got N={n} for d={d}")
-        check_dt(self.dt)
-        if not np.all(np.isfinite(data)):
-            raise ValueError("panel contains non-finite values")
+        dt = check_dt(self.dt)
         if isinstance(self.labels, str):
             raise ValueError(f"labels must be a sequence of strings, got {self.labels!r}")
         labels = tuple(self.labels) or tuple(f"X{i + 1}" for i in range(d))
@@ -79,9 +101,8 @@ class TimeSeriesPanel:
             seen = set()
             duplicate = next(s for s in labels if s in seen or seen.add(s))
             raise ValueError(f"duplicate label {duplicate!r}")
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "labels", labels)
 
     @property

@@ -61,7 +61,8 @@ class TestGaussianQuantile:
             np.testing.assert_array_equal(np.diag(m.significant),
                                           np.abs(np.diag(m.T)) > z * np.diag(m.stderr))
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0,
+                                       pytest.param(10**5000, id="10**5000")])
     def test_domain(self, alpha):
         p = random_walk_panel(np.random.default_rng(0), d=2, n=100)
         with pytest.raises(ValueError, match="alpha must be in"):

@@ -262,29 +262,34 @@ class TestSimulateRossler:
         (dict(epsilon=float("nan")), "epsilon must be finite"),
         (dict(epsilon=float("inf")), "epsilon must be finite"),
         (dict(epsilon=-float("inf")), "epsilon must be finite"),
-        (dict(omega=(1.015, float("nan"), 0.95)), "omega must be finite"),
-        (dict(omega=(1.015, 0.985, float("inf"))), "omega must be finite"),
+        (dict(omega=(1.015, float("nan"), 0.95)), "omega has non-finite entries"),
+        (dict(omega=(1.015, 0.985, float("inf"))), "omega has non-finite entries"),
         (dict(dt=float("inf")), "dt must be positive and finite"),
-        (dict(omega=(1.0, 2.0)), "omega must be finite"),
-        (dict(omega=(1.0, 2.0, 3.0, 4.0)), "omega must be finite"),
-        # a bool is not a number (see check_number), as dt, epsilon or an omega entry
+        (dict(omega=(1.0, 2.0)), "omega must have shape (3,), got (2,)"),
+        (dict(omega=(1.0, 2.0, 3.0, 4.0)), "omega must have shape (3,), got (4,)"),
+        # a bool is not a number (see check_number and check_array), as dt, epsilon
+        # or an omega entry
         (dict(dt=True), "dt must be a number"),
         (dict(epsilon=np.True_), "epsilon must be a number"),
-        (dict(omega=(True, 0.985, 0.95)), "omega entry must be a number"),
+        (dict(omega=(True, 0.985, 0.95)), "omega has non-numeric entries"),
         (dict(epsilon="0.1"), "epsilon must be a number"),
-        # not a sequence: named as the wrong length is
-        (dict(omega=1.0), "omega must be finite with 3 entries"),
-        (dict(omega=None), "omega must be finite with 3 entries"),
+        # not a sequence of numbers
+        (dict(omega=1.0), "omega must have shape (3,), got ()"),
+        (dict(omega=None), "omega has non-numeric entries"),
         # an integer beyond float64 is not finite
         (dict(epsilon=10**400), "epsilon must be finite"),
-        (dict(omega=(10**400, 1, 1)), "omega must be finite"),
+        (dict(omega=(10**400, 1, 1)), "omega has non-finite entries"),
         (dict(dt=10**400), "dt must be positive and finite"),
+        # and the message shows it as inf, not as more digits than str() may print
+        (dict(epsilon=10**5000), "epsilon must be finite, got inf"),
+        (dict(dt=10**5000), "dt must be positive and finite, got inf"),
     ], ids=["eps-nan", "eps-inf", "eps-minus-inf", "omega-nan", "omega-inf", "dt-inf",
             "omega-2", "omega-4", "dt-bool", "eps-numpy-bool", "omega-bool", "eps-str",
             "omega-float", "omega-none", "eps-int-beyond-float64",
-            "omega-int-beyond-float64", "dt-int-beyond-float64"])
+            "omega-int-beyond-float64", "dt-int-beyond-float64",
+            "eps-int-beyond-str-limit", "dt-int-beyond-str-limit"])
     def test_non_finite_parameters_rejected(self, kw, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             RosslerSpec(**kw)
 
     def test_omega_is_kept_as_a_tuple(self):

@@ -26,7 +26,7 @@ class TestPanelValidation:
         with pytest.raises(ValueError, match="non-finite"):
             panel_from_rows([[0, 1, np.nan, 3, 4], [1, 2, 3, 4, 5]])
         # an integer beyond float64 too
-        with pytest.raises(ValueError, match="^panel contains non-finite values$"):
+        with pytest.raises(ValueError, match="^panel data has non-finite entries$"):
             TimeSeriesPanel(data=[[0, 1, 10**400, 3, 4], [1, 2, 3, 4, 5]])
 
     def test_rejects_nonpositive_dt(self):
@@ -42,7 +42,8 @@ class TestPanelValidation:
 
     @pytest.mark.parametrize("dt", [True, np.True_, "0.1", None,
                                     0.0, -1.0, float("nan"), float("inf"),
-                                    pytest.param(10**400, id="10**400")])
+                                    pytest.param(10**400, id="10**400"),
+                                    pytest.param(10**5000, id="10**5000")])
     def test_rossler_spec_gives_the_panel_dt_message(self, dt):
         with pytest.raises(ValueError) as panel_error:
             panel_from_rows([[0, 1, 2, 3, 4], [1, 2, 3, 4, 5]], dt=dt)
@@ -82,7 +83,13 @@ class TestPanelValidation:
     @pytest.mark.parametrize("data, message", [
         (np.arange(7.0), "panel data must be 2-D (d, N), got shape (7,)"),
         (np.empty((0, 7)), "panel needs at least one variable row"),
-    ], ids=["1-D", "zero-rows"])
+        # float() takes text and bools, and numpy drops an imaginary part with
+        # a warning, but none of them is a real number
+        ([["1.5", "2", "3", "4", "5"], [1, 2, 3, 4, 5]], "panel data has non-numeric entries"),
+        (np.ones((2, 5), dtype=bool), "panel data has non-numeric entries"),
+        (np.arange(10.0).reshape(2, 5) + 1j, "panel data has non-numeric entries"),
+        ([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0]], "panel data has non-numeric entries"),
+    ], ids=["1-D", "zero-rows", "text", "bool-array", "complex-array", "ragged"])
     def test_rejects_data_without_rows_of_series(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TimeSeriesPanel(data=data)
@@ -112,17 +119,19 @@ def assert_series_major(panel):
 
 
 class TestPanelLayout:
-    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "object", "list-of-rows"])
     def test_own_c_contiguous_read_only_copy(self, rng, layout):
         base = rng.standard_normal((3, 40))
         data = {
             "C": base.copy(),
             "F": np.asfortranarray(base),
             "strided": np.repeat(base, 2, axis=1)[:, ::2],
+            "object": base.astype(object),
+            "list-of-rows": list(base),
         }[layout]
         p = TimeSeriesPanel(data=data)
         assert_series_major(p)
-        np.testing.assert_array_equal(p.data, base)
+        assert p.data.tobytes() == base.tobytes()
         assert not np.shares_memory(p.data, data)
 
     def test_simulate_var_panel(self):
