@@ -10,10 +10,10 @@ Three subcommands:
   plot-ready flow table.
 
 Exit status is 0 on success and 1 when the reader closes stdout early.
-A bad argument or input file, or an unwritable output or stdout, exits 2
-(argparse usage errors, ValueError, ParseError, OutputError, OSError);
-each estimation or simulation failure class has its own code, 3 to 6
-(see errors.py).
+A bad argument or input file, an unwritable output or stdout, or a lack of
+memory exits 2 (argparse usage errors, ValueError, ParseError, OutputError,
+OSError, MemoryError); each estimation or simulation failure class has its
+own code, 3 to 6 (see errors.py).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import InfoflowError, OutputError, ParseError
 from .estimator import DEFAULT_ALPHA, estimate_flows
 from .graph import build_graph, to_dot, to_json
 from .simgen import ROSSLER_OSCILLATOR_ROWS, preset_panel
-from .stats import TimeSeriesPanel, check_dt
+from .stats import TimeSeriesPanel, check_count, check_dt
 
 
 def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
@@ -232,12 +232,11 @@ def cmd_sweep(args) -> None:
     if not math.isfinite(args.eps_to - args.eps_from):
         raise ValueError(f"--eps-from, --eps-to and their difference must be finite, "
                          f"got {args.eps_from!r} and {args.eps_to!r}")
-    if args.steps < 1:
-        raise ValueError(f"--steps must be at least 1, got {args.steps}")
+    steps = check_count("--steps", args.steps, 1)
     src, dst = np.take(ROSSLER_OSCILLATOR_ROWS, SWEEP_PAIRS).T  # panel rows of each pair
     names = [f"{'XYZ'[a]}_to_{'XYZ'[b]}" for a, b in SWEEP_PAIRS]
     lines = [",".join(["epsilon", *(f"T_{n}" for n in names), *(f"sig_{n}" for n in names)])]
-    for eps in np.linspace(args.eps_from, args.eps_to, args.steps).tolist():
+    for eps in np.linspace(args.eps_from, args.eps_to, steps).tolist():
         panel, k = preset_panel("rossler", seed=args.seed, epsilon=eps)
         matrix = estimate_flows(panel, k=k, alpha=args.alpha)
         cells = [eps, *np.abs(matrix.T[src, dst]).tolist(),
@@ -299,8 +298,8 @@ def main(argv=None) -> int:
         args.func(args)
         sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
         return 0
-    except (InfoflowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InfoflowError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     except OSError as exc:
         # Only stdout's errors reach here: read_csv_panel and _output convert

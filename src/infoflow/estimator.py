@@ -58,14 +58,13 @@ always comes from T and its CI.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import DegenerateInputError, SingularCovarianceError, SingularInformationError
-from .stats import TimeSeriesPanel, check_number
+from .stats import TimeSeriesPanel, check_count, check_number
 
 DEFAULT_ALPHA = 0.90
 # Above this condition number the equilibrated covariance matrix is treated
@@ -136,9 +135,9 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     covariance matrix with condition number above COND_LIMIT raises
     SingularCovarianceError, and a zero residual variance
     SingularInformationError.  ``alpha`` must be a number in (0, 1 - 2^-52],
-    above which (1 + alpha) / 2 rounds to 1, and the stride k must be an
-    integer in [1, N - d - 2], so that the N - k differences outnumber each
-    row's d + 1 parameters; they are kept as a Python float and int.
+    above which (1 + alpha) / 2 rounds to 1, and k an integer in [1, N - d - 1)
+    (``check_count``, the rule of the spec counts and --steps too), so that the N - k
+    differences outnumber each row's d + 1 parameters; both are kept as Python numbers.
 
     ``stderr`` is the paper's test scale: the standard error of a_ij,
     conditional on the sample covariance C, times |C_ij / C_ii|.  It is not
@@ -149,10 +148,7 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
     alpha = check_number("alpha", alpha)
     if not 0.0 < alpha <= 1.0 - 2.0**-52:
         raise ValueError(f"alpha must be in (0, 1 - 2**-52], got {alpha}")
-    last = panel.n - panel.d - 2
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= last:
-        raise ValueError(f"stride k={k!r} must be an integer in [1, N - d - 2] = [1, {last}]")
-    k = int(k)
+    k = check_count("stride k", k, 1, panel.n - panel.d - 1)
     n = panel.n - k
     x, labels = panel.data, panel.labels
     # Two d x n arrays: the differences (dc), centred and scaled in place and

@@ -19,7 +19,6 @@ step-by-step loop to rounding.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .stats import TimeSeriesPanel, check_array, check_dt, check_number
+from .stats import TimeSeriesPanel, check_array, check_count, check_dt, check_number
 
 # 6-node benchmark network: cycles (1,2,3) and (4,5), confounder X6.
 VAR6_A = np.array(
@@ -52,16 +51,10 @@ VAR6_EDGES = frozenset(
 DIVERGENCE_LIMIT = 1e6
 
 
-def _check_count(name: str, n, low: int, high: float = math.inf) -> None:
-    """Require an integer (not a bool) in [low, high), as estimate_flows requires of k."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not low <= n < high:
-        rule = f">= {low}" if high == math.inf else f"in [{low}, {high})"
-        raise ValueError(f"{name} must be an integer {rule}, got {n!r}")
-
-
 @dataclass(frozen=True)
 class VarSpec:
-    """VAR(1) process X(n+1) = alpha_vec + A X(n) + diag(b_diag) e(n+1)."""
+    """VAR(1) process X(n+1) = alpha_vec + A X(n) + diag(b_diag) e(n+1), with arrays under
+    ``check_array`` and integers N >= 1, burn_in >= 0 and seed >= 0 under ``check_count``."""
 
     A: np.ndarray
     alpha_vec: np.ndarray
@@ -79,9 +72,9 @@ class VarSpec:
             shape = getattr(self, name).shape
             if shape != (self.d,):
                 raise ValueError(f"{name} must have shape ({self.d},), got {shape}")
-        _check_count("N", self.N, 1)
-        _check_count("burn_in", self.burn_in, 0)
-        _check_count("seed", self.seed, 0)
+        check_count("N", self.N, 1)
+        check_count("burn_in", self.burn_in, 0)
+        check_count("seed", self.seed, 0)
 
     @property
     def d(self) -> int:
@@ -90,9 +83,9 @@ class VarSpec:
 
 @dataclass(frozen=True)
 class RosslerSpec:
-    """Three coupled Rossler oscillators, one-way driven by the first; dt (see ``check_dt``)
-    and epsilon must be numbers (``check_number``: not bools) and finite, and omega an
-    array of 3 entries (``check_array``), kept as a tuple of floats."""
+    """Three coupled Rossler oscillators, one-way driven by the first; dt (``check_dt``) and
+    epsilon finite numbers (``check_number``), omega 3 entries (``check_array``, kept as a
+    tuple of floats), and N_total >= 1, burn_in in [0, N_total), seed >= 0 (``check_count``)."""
 
     omega: tuple = (1.015, 0.985, 0.95)
     epsilon: float = 0.0
@@ -110,9 +103,9 @@ class RosslerSpec:
         if omega.shape != (3,):
             raise ValueError(f"omega must have shape (3,), got {omega.shape}")
         object.__setattr__(self, "omega", tuple(omega.tolist()))
-        _check_count("N_total", self.N_total, 1)
-        _check_count("burn_in", self.burn_in, 0, self.N_total)
-        _check_count("seed", self.seed, 0)
+        check_count("N_total", self.N_total, 1)
+        check_count("burn_in", self.burn_in, 0, self.N_total)
+        check_count("seed", self.seed, 0)
 
 
 def simulate_var(spec: VarSpec) -> TimeSeriesPanel:

@@ -27,6 +27,17 @@ def check_number(name: str, x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def check_count(name: str, n, low: int, high: float = math.inf) -> int:
+    """Return n as an int; raise ValueError ``<name> must be an integer in [<low>, <high>)``
+    (or ``>= <low>``) ``, got <n>`` (+-inf past float64) unless n is one and not a bool."""
+    integer = isinstance(n, numbers.Integral) and not isinstance(n, bool)
+    if not (integer and low <= n < high):
+        rule = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        shown = value if integer and math.isinf(value := check_number(name, n)) else n
+        raise ValueError(f"{name} must be an integer {rule}, got {shown!r}")
+    return int(n)
+
+
 def check_dt(dt) -> float:
     """Return dt as a float; raise ValueError unless it is a positive finite number."""
     value = check_number("dt", dt)

@@ -530,7 +530,7 @@ class TestAnalyze:
     def test_stride_leaving_an_exact_fit_exit_code(self, var6_csv, capsys):
         # var6-b100-short: N = 500 rows of d = 6 series
         argv = ["analyze", "--csv", str(var6_csv), "--k"]
-        message = "error: stride k=493 must be an integer in [1, N - d - 2] = [1, 492]\n"
+        message = "error: stride k must be an integer in [1, 493), got 493\n"
         code, _, err = run(capsys, *argv, "493")
         assert (code, err) == (2, message)
         code, _, err = run(capsys, "analyze", "--preset", "var6-b100-short", "--k", "493")
@@ -735,7 +735,22 @@ class TestSweep:
     def test_zero_steps_rejected(self, capsys):
         code, out, err = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "1", "--steps", "0")
         assert (code, out) == (2, "")
-        assert err == "error: --steps must be at least 1, got 0\n"
+        assert err == "error: --steps must be an integer >= 1, got 0\n"
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+         "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_one_error_line(self, capsys, monkeypatch, exc, line):
+        # --steps 1000000000000 asks linspace for 8 TB; no real allocation is tried here
+        def linspace(*args):
+            raise exc
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        code, out, err = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "0.1",
+                             "--steps", "1000000000000")
+        assert (code, out, err) == (2, "", line)
 
     def test_three_point_grid(self, capsys):
         code, out, _ = run(capsys, "sweep", "--eps-from", "0", "--eps-to", "0.1",

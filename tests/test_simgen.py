@@ -135,16 +135,18 @@ VAR_FIELDS = dict(A=0.5 * np.eye(2), alpha_vec=np.zeros(2), b_diag=np.ones(2), N
      "burn_in must be an integer in [0, 2000), got 2000"),
     (lambda: RosslerSpec(N_total=2000, burn_in=-1),
      "burn_in must be an integer in [0, 2000), got -1"),
+    (lambda: RosslerSpec(burn_in=10**5000), "burn_in must be an integer in [0, 50000), got inf"),
     (lambda: VarSpec(**VAR_FIELDS, seed=-1), "seed must be an integer >= 0, got -1"),
     (lambda: VarSpec(**VAR_FIELDS, seed=1.5), "seed must be an integer >= 0, got 1.5"),
     (lambda: VarSpec(**VAR_FIELDS, seed=True), "seed must be an integer >= 0, got True"),
+    (lambda: VarSpec(**VAR_FIELDS, seed=-10**5000), "seed must be an integer >= 0, got -inf"),
     (lambda: RosslerSpec(seed=-1), "seed must be an integer >= 0, got -1"),
     (lambda: RosslerSpec(seed=1.5), "seed must be an integer >= 0, got 1.5"),
     (lambda: RosslerSpec(seed=True), "seed must be an integer >= 0, got True"),
 ], ids=["var-N-float", "var-N-bool", "var-burn-in-float", "var-burn-in-bool",
         "rossler-N-float", "rossler-N-bool", "rossler-burn-in-float",
-        "rossler-burn-in-N-total", "rossler-burn-in-negative",
-        "var-seed-negative", "var-seed-float", "var-seed-bool",
+        "rossler-burn-in-N-total", "rossler-burn-in-negative", "rossler-burn-in-beyond-float64",
+        "var-seed-negative", "var-seed-float", "var-seed-bool", "var-seed-beyond-float64",
         "rossler-seed-negative", "rossler-seed-float", "rossler-seed-bool"])
 def test_spec_sizes_are_integers(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
