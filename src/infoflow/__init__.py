@@ -9,8 +9,6 @@ from .errors import (
     DegenerateInputError,
     DivergenceError,
     InfoflowError,
-    OutputError,
-    ParseError,
     SingularCovarianceError,
     SingularInformationError,
 )

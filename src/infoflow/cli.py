@@ -10,8 +10,8 @@ Three subcommands:
   plot-ready flow table.
 
 Exit status is 0 on success and 1 when the reader closes stdout early.
-A bad argument or input file, an unwritable output or stdout, or a lack of
-memory exits 2 (argparse usage errors, ValueError, ParseError, OutputError,
+A bad argument or input file, an unreadable input, an unwritable output or
+stdout, or a lack of memory exits 2 (argparse usage errors, ValueError,
 OSError, MemoryError); each estimation or simulation failure class has its
 own code, 3 to 6 (see errors.py).
 """
@@ -28,7 +28,7 @@ from array import array
 
 import numpy as np
 
-from .errors import InfoflowError, OutputError, ParseError
+from .errors import InfoflowError
 from .estimator import DEFAULT_ALPHA, estimate_flows
 from .graph import build_graph, to_dot, to_json
 from .simgen import ROSSLER_OSCILLATOR_ROWS, preset_panel
@@ -41,9 +41,10 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     The time index column is ignored (series must be equi-spaced); dt comes
     from the caller and is checked before the file is opened.  Column order
     defines the variable indices.  The file must be UTF-8 text, every other
-    cell one that ``float()`` reads as a finite number, and N >= d + 3.  Any
-    failure to open, read or check the file is one ParseError whose text
-    starts with the path, formed here and nowhere else.
+    cell one that ``float()`` reads as a finite number, and N >= d + 3.  A
+    file that cannot be opened or read raises an OSError (the errno's
+    subclass, such as FileNotFoundError) whose ``filename`` is the path, and
+    one that fails a check a ValueError whose text starts with the path.
 
     The file is opened once and read in one pass, so the path may name a
     pipe.  Lines are split as latin-1 and each non-ASCII line is decoded
@@ -56,9 +57,9 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
             labels, data = _read_records(fh)
         return TimeSeriesPanel(data=data, dt=dt, labels=labels)
     except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror}") from exc
+        raise OSError(exc.errno, exc.strerror, path) from exc
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _utf8_lines(fh):
@@ -182,7 +183,8 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
 def _output(path: str | None):
     """The text file at an --out path, or stdout when the path is unset or "-".
 
-    An OSError while opening or writing the file becomes an OutputError.
+    An OSError while opening or writing the file is raised again with the
+    path as its ``filename``.
     """
     if not path or path == "-":
         yield sys.stdout
@@ -191,7 +193,7 @@ def _output(path: str | None):
         with open(path, "w") as fh:
             yield fh
     except OSError as exc:
-        raise OutputError(f"{path}: {exc.strerror}") from exc
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def cmd_analyze(args) -> None:
@@ -302,9 +304,11 @@ def main(argv=None) -> int:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     except OSError as exc:
-        # Only stdout's errors reach here: read_csv_panel and _output convert
-        # their own.  Point stdout at devnull so that the flush at exit cannot
-        # fail again (see the SIGPIPE note in the signal docs).
+        if exc.filename is not None:  # read_csv_panel and _output name their file
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return 2
+        # A failed write to stdout.  Point stdout at devnull so that the flush
+        # at exit cannot fail again (see the SIGPIPE note in the signal docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):  # the reader closed stdout
             return 1

@@ -1,9 +1,9 @@
 """Exception hierarchy for infoflow.
 
-Every error class carries the process exit code the CLI returns for it.
-The input and output errors, ParseError and OutputError, share code 2 with
-the CLI's bad-argument ValueError; each estimation or simulation failure
-has its own code, 3 to 6.
+Every error class carries the process exit code the CLI returns for it:
+each estimation or simulation failure has its own code, 3 to 6.  A bad
+argument or input file is a ValueError and a file that cannot be opened,
+read or written an OSError naming it; the CLI exits 2 for both.
 """
 
 
@@ -11,19 +11,6 @@ class InfoflowError(Exception):
     """Base class for all infoflow errors."""
 
     exit_code = 1
-
-
-class ParseError(InfoflowError):
-    """An input file that cannot be opened or read, or is malformed (not UTF-8,
-    ragged rows, non-numeric cells, NaN, too few rows); the text starts with its path."""
-
-    exit_code = 2
-
-
-class OutputError(InfoflowError):
-    """An output file could not be written (missing directory, no permission)."""
-
-    exit_code = 2
 
 
 class DegenerateInputError(InfoflowError):

@@ -29,12 +29,13 @@ def check_number(name: str, x) -> float:
 
 def check_count(name: str, n, low: int, high: float = math.inf) -> int:
     """Return n as an int; raise ValueError ``<name> must be an integer in [<low>, <high>)``
-    (or ``>= <low>``) ``, got <n>`` (+-inf past float64) unless n is one and not a bool."""
+    (or ``>= <low>``) ``, got <n>`` unless n is one, not a bool and finite as a float64:
+    |n| >= 2**1024 is shown as +-inf."""
     integer = isinstance(n, numbers.Integral) and not isinstance(n, bool)
-    if not (integer and low <= n < high):
+    huge = integer and math.isinf(value := check_number(name, n))
+    if huge or not (integer and low <= n < high):
         rule = f">= {low}" if high == math.inf else f"in [{low}, {high})"
-        shown = value if integer and math.isinf(value := check_number(name, n)) else n
-        raise ValueError(f"{name} must be an integer {rule}, got {shown!r}")
+        raise ValueError(f"{name} must be an integer {rule}, got {value if huge else n!r}")
     return int(n)
 
 
@@ -50,21 +51,23 @@ def check_array(name: str, value) -> np.ndarray:
     """Return value as a read-only, C-contiguous float64 copy; raise ValueError
     ``<name> has non-numeric entries`` unless every entry is a real number (see
     check_number; a ragged nesting is not) and ``<name> has non-finite entries`` for
-    NaN, +-inf or an integer beyond float64.  An int, uint or float ndarray is copied
-    with no walk over its entries; other values, lists too, have each entry type checked."""
-    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
-        arr = np.array(value, dtype=float, order="C")
-    else:
-        try:
+    NaN, +-inf or an integer beyond float64.  An int, uint or float ndarray, or a list
+    or tuple of them, is copied with no walk over its entries; other values, nested
+    lists too, have each entry type checked."""
+    items = value if isinstance(value, (list, tuple)) else (value,)
+    try:
+        if all(isinstance(v, np.ndarray) and v.dtype.kind in "iuf" for v in items):
+            arr = np.array(value, dtype=float, order="C")  # ValueError: rows of unequal length
+        else:
             entries = np.array(value, dtype=object)  # ValueError: a nesting numpy cannot shape
             if not all(issubclass(t, numbers.Real) and t is not bool
                        for t in set(map(type, entries.flat))):
                 raise TypeError
             arr = entries.astype(float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{name} has non-numeric entries") from None
-        except OverflowError:  # an integer beyond float64
-            raise ValueError(f"{name} has non-finite entries") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} has non-numeric entries") from None
+    except OverflowError:  # an integer beyond float64
+        raise ValueError(f"{name} has non-finite entries") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     arr.flags.writeable = False

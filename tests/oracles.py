@@ -31,7 +31,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from infoflow import DivergenceError, ParseError
+from infoflow import DivergenceError
 from infoflow.graph import SCHEMA_VERSION
 
 
@@ -298,22 +298,22 @@ def reference_doc(graph) -> dict:
 
 
 def reference_read_rows(path: str):
-    """(labels, data) parsed one row at a time, raising ParseError on bad input."""
+    """(labels, data) parsed one row at a time, raising ValueError on bad input."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = _csv_rows(fh, path)
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            raise ValueError(f"{path}: empty file") from None
         if len(header) < 2:
-            raise ParseError(f"{path}: need a time column plus at least 1 variable column")
+            raise ValueError(f"{path}: need a time column plus at least 1 variable column")
         labels = tuple(name.strip() for name in header[1:])
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
             if len(cells) != len(header):
-                raise ParseError(
+                raise ValueError(
                     f"{path}: row {lineno} has {len(cells)} cells, "
                     f"expected {len(header)}"
                 )
@@ -322,12 +322,12 @@ def reference_read_rows(path: str):
                 try:
                     value = float(cell)
                 except ValueError:
-                    raise ParseError(
+                    raise ValueError(
                         f"{path}: row {lineno}, column {col}: "
                         f"non-numeric cell {cell.strip()!r}"
                     ) from None
                 if not math.isfinite(value):
-                    raise ParseError(
+                    raise ValueError(
                         f"{path}: row {lineno}, column {col}: non-finite value"
                     )
                 values.append(value)
@@ -336,7 +336,7 @@ def reference_read_rows(path: str):
 
 
 def _csv_rows(fh, path: str):
-    """The rows of ``csv.reader(fh)``; a csv.Error becomes a ParseError naming the row."""
+    """The rows of ``csv.reader(fh)``; a csv.Error becomes a ValueError naming the row."""
     reader = csv.reader(fh)
     for lineno in itertools.count(1):
         try:
@@ -344,5 +344,5 @@ def _csv_rows(fh, path: str):
         except StopIteration:
             return
         except csv.Error as exc:
-            raise ParseError(f"{path}: row {lineno}: {exc}") from None
+            raise ValueError(f"{path}: row {lineno}: {exc}") from None
         yield cells

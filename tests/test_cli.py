@@ -1,9 +1,11 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -16,13 +18,13 @@ from hypothesis import strategies as st_
 
 from infoflow import (
     ROSSLER_OSCILLATOR_ROWS,
-    ParseError,
     RosslerSpec,
     TimeSeriesPanel,
     estimate_flows,
     simulate_rossler,
     simulate_var,
 )
+from infoflow import cli
 from infoflow.cli import SWEEP_PAIRS, main, read_csv_panel, write_csv_panel
 from infoflow.graph import reconstruct, to_json
 from infoflow.simgen import preset_panel
@@ -143,6 +145,14 @@ class TestCsvRoundTrip:
         code, out, err = run(capsys, "analyze", "--csv", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: No such file or directory\n"
+        # the library raises Python's own errors: the errno's OSError subclass
+        # naming the file, and a ValueError whose text starts with the path
+        with pytest.raises(FileNotFoundError) as info:
+            read_csv_panel(str(path))
+        assert info.value.filename == str(path)
+        path.write_text("t,a\n0,1\n1,2,3\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3 has 3 cells"):
+            read_csv_panel(str(path))
 
 
 ROWS = ["0,1.5,-2.0", "1,0.25,3e-5", "2,-7.0,1.0", "3,4.5,2.5", "4,0.0,-1e300"]
@@ -237,15 +247,15 @@ def reference_panel(path):
     try:
         panel = TimeSeriesPanel(data=data, labels=labels)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     return panel.labels, panel.data
 
 
 def read_outcome(read, path):
-    """(labels, data bits) from a reader, or its ParseError text."""
+    """(labels, data bits) from a reader, or its ValueError text."""
     try:
         labels, data = read(path)
-    except ParseError as exc:
+    except ValueError as exc:
         return str(exc)
     return labels, np.asarray(data).view(np.uint64).tolist()
 
@@ -421,6 +431,22 @@ class TestOutputPath:
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code == 2
         assert err == f"error: {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize("name, argv, err", [
+        ("_read_records", ["analyze", "--csv"], errno.EIO),
+        ("write_csv_panel", ["generate", "var6-b100-short", "--out"], errno.ENOSPC),
+    ], ids=["read", "write"])
+    def test_failed_read_or_write_names_the_file(self, tmp_path, capsys, monkeypatch,
+                                                 name, argv, err):
+        # an I/O error mid-read of --csv or mid-write of --out: one line naming the file
+        path = tmp_path / "p.csv"
+        path.write_text(csv_text())
+
+        def fail(*args):
+            raise OSError(err, os.strerror(err))
+
+        monkeypatch.setattr(cli, name, fail)
+        assert run(capsys, *argv, str(path)) == (2, "", f"error: {path}: {os.strerror(err)}\n")
 
 
 class TestAnalyze:

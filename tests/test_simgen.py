@@ -143,11 +143,17 @@ VAR_FIELDS = dict(A=0.5 * np.eye(2), alpha_vec=np.zeros(2), b_diag=np.ones(2), N
     (lambda: RosslerSpec(seed=-1), "seed must be an integer >= 0, got -1"),
     (lambda: RosslerSpec(seed=1.5), "seed must be an integer >= 0, got 1.5"),
     (lambda: RosslerSpec(seed=True), "seed must be an integer >= 0, got True"),
+    # an integer beyond float64 is rejected even where the range holds it
+    (lambda: VarSpec(**{**VAR_FIELDS, "N": 10**5000}), "N must be an integer >= 1, got inf"),
+    (lambda: VarSpec(**VAR_FIELDS, seed=10**5000), "seed must be an integer >= 0, got inf"),
+    (lambda: RosslerSpec(N_total=10**5000), "N_total must be an integer >= 1, got inf"),
+    (lambda: RosslerSpec(seed=10**5000), "seed must be an integer >= 0, got inf"),
 ], ids=["var-N-float", "var-N-bool", "var-burn-in-float", "var-burn-in-bool",
         "rossler-N-float", "rossler-N-bool", "rossler-burn-in-float",
         "rossler-burn-in-N-total", "rossler-burn-in-negative", "rossler-burn-in-beyond-float64",
         "var-seed-negative", "var-seed-float", "var-seed-bool", "var-seed-beyond-float64",
-        "rossler-seed-negative", "rossler-seed-float", "rossler-seed-bool"])
+        "rossler-seed-negative", "rossler-seed-float", "rossler-seed-bool",
+        "var-N-huge", "var-seed-huge", "rossler-N-total-huge", "rossler-seed-huge"])
 def test_spec_sizes_are_integers(make, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make()

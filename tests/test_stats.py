@@ -89,7 +89,17 @@ class TestPanelValidation:
         (np.ones((2, 5), dtype=bool), "panel data has non-numeric entries"),
         (np.arange(10.0).reshape(2, 5) + 1j, "panel data has non-numeric entries"),
         ([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0]], "panel data has non-numeric entries"),
-    ], ids=["1-D", "zero-rows", "text", "bool-array", "complex-array", "ragged"])
+        # a list of row arrays is judged by each row's dtype, with the same messages
+        ([np.ones(5), np.ones(5, dtype=bool)], "panel data has non-numeric entries"),
+        ([np.ones(5), np.ones(3)], "panel data has non-numeric entries"),
+        ([np.ones(5), np.array(["1", "2", "3", "4", "5"])], "panel data has non-numeric entries"),
+        ([np.ones(5), np.ones(5) + 1j], "panel data has non-numeric entries"),
+        ([np.ones(5), np.array([1.0, None, 3.0, 4.0, 5.0])],
+         "panel data has non-numeric entries"),
+        ([np.ones(5), np.array([1.0, np.inf, 3.0, 4.0, 5.0])], "panel data has non-finite entries"),
+    ], ids=["1-D", "zero-rows", "text", "bool-array", "complex-array", "ragged",
+            "rows-bool-array", "rows-unequal", "rows-str-array", "rows-complex-array",
+            "rows-object-none", "rows-inf"])
     def test_rejects_data_without_rows_of_series(self, data, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TimeSeriesPanel(data=data)
