@@ -171,10 +171,7 @@ def estimate_flows(panel: TimeSeriesPanel, k: int = 1, alpha: float = DEFAULT_AL
         raise DegenerateInputError(f"variable {labels[coarse[0]]!r} has zero variance at "
                                    "float64 resolution (std <= 8 ulp of its mean)")
 
-    # C is symmetric: its 2-norm condition number is lambda_max / lambda_min, and
-    # a lambda_min <= 0 (rounding) makes it singular
-    low, high = np.linalg.eigvalsh(C)[[0, -1]].tolist()
-    cond = high / low if low > 0 else np.inf
+    cond = np.linalg.cond(C)
     if not cond <= COND_LIMIT:
         raise SingularCovarianceError(
             f"covariance matrix is near-singular (condition number {cond:.3e})"

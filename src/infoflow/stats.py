@@ -51,23 +51,21 @@ def check_array(name: str, value) -> np.ndarray:
     """Return value as a read-only, C-contiguous float64 copy; raise ValueError
     ``<name> has non-numeric entries`` unless every entry is a real number (see
     check_number; a ragged nesting is not) and ``<name> has non-finite entries`` for
-    NaN, +-inf or an integer beyond float64.  An int, uint or float ndarray, or a list
-    or tuple of them, is copied with no walk over its entries; other values, nested
-    lists too, have each entry type checked."""
-    items = value if isinstance(value, (list, tuple)) else (value,)
-    try:
-        if all(isinstance(v, np.ndarray) and v.dtype.kind in "iuf" for v in items):
-            arr = np.array(value, dtype=float, order="C")  # ValueError: rows of unequal length
-        else:
+    NaN, +-inf or an integer beyond float64.  An int, uint or float ndarray is copied
+    with no walk over its entries; other values, lists too, have each entry type checked."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = np.array(value, dtype=float, order="C")
+    else:
+        try:
             entries = np.array(value, dtype=object)  # ValueError: a nesting numpy cannot shape
             if not all(issubclass(t, numbers.Real) and t is not bool
                        for t in set(map(type, entries.flat))):
                 raise TypeError
             arr = entries.astype(float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} has non-numeric entries") from None
-    except OverflowError:  # an integer beyond float64
-        raise ValueError(f"{name} has non-finite entries") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} has non-numeric entries") from None
+        except OverflowError:  # an integer beyond float64
+            raise ValueError(f"{name} has non-finite entries") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} has non-finite entries")
     arr.flags.writeable = False

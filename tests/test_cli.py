@@ -154,6 +154,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row 3 has 3 cells"):
             read_csv_panel(str(path))
 
+    def test_failed_read_names_the_file(self, tmp_path, capsys, monkeypatch):
+        # an I/O error mid-read of --csv: one line naming the file
+        path = tmp_path / "p.csv"
+        path.write_text(csv_text())
+
+        def fail(fh):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cli, "_read_records", fail)
+        reason = os.strerror(errno.EIO)
+        assert run(capsys, "analyze", "--csv", str(path)) == (2, "", f"error: {path}: {reason}\n")
+
 
 ROWS = ["0,1.5,-2.0", "1,0.25,3e-5", "2,-7.0,1.0", "3,4.5,2.5", "4,0.0,-1e300"]
 
@@ -431,22 +443,6 @@ class TestOutputPath:
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code == 2
         assert err == f"error: {out}: No such file or directory\n"
-
-    @pytest.mark.parametrize("name, argv, err", [
-        ("_read_records", ["analyze", "--csv"], errno.EIO),
-        ("write_csv_panel", ["generate", "var6-b100-short", "--out"], errno.ENOSPC),
-    ], ids=["read", "write"])
-    def test_failed_read_or_write_names_the_file(self, tmp_path, capsys, monkeypatch,
-                                                 name, argv, err):
-        # an I/O error mid-read of --csv or mid-write of --out: one line naming the file
-        path = tmp_path / "p.csv"
-        path.write_text(csv_text())
-
-        def fail(*args):
-            raise OSError(err, os.strerror(err))
-
-        monkeypatch.setattr(cli, name, fail)
-        assert run(capsys, *argv, str(path)) == (2, "", f"error: {path}: {os.strerror(err)}\n")
 
 
 class TestAnalyze:
@@ -950,16 +946,17 @@ def test_stdout_closed_after_one_line_exits_1_quietly():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--preset", "var6-b100-short"],
-    ["generate", "var6-b100-short"],
-], ids=["analyze", "generate"])
-def test_full_stdout_is_one_error_line(argv):
-    # every write to /dev/full fails with ENOSPC, as --out /dev/full does
+@pytest.mark.parametrize("argv, name", [
+    (["analyze", "--preset", "var6-b100-short"], b"<stdout>"),
+    (["generate", "var6-b100-short"], b"<stdout>"),
+    (["generate", "var6-b100-short", "--out", "/dev/full"], b"/dev/full"),
+], ids=["analyze", "generate", "generate-out"])
+def test_full_stdout_is_one_error_line(argv, name):
+    # every write to /dev/full fails with ENOSPC, as stdout and as --out
     with open("/dev/full", "wb") as full:
         proc = subprocess.run([sys.executable, "-m", "infoflow.cli", *argv], stdout=full,
                               stderr=subprocess.PIPE, env=src_env(), timeout=60)
-    assert (proc.returncode, proc.stderr) == (2, b"error: <stdout>: No space left on device\n")
+    assert (proc.returncode, proc.stderr) == (2, b"error: " + name + b": No space left on device\n")
 
 
 class TestImport:

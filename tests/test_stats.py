@@ -89,7 +89,7 @@ class TestPanelValidation:
         (np.ones((2, 5), dtype=bool), "panel data has non-numeric entries"),
         (np.arange(10.0).reshape(2, 5) + 1j, "panel data has non-numeric entries"),
         ([[1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 3.0]], "panel data has non-numeric entries"),
-        # a list of row arrays is judged by each row's dtype, with the same messages
+        # a list of row arrays gets the same messages
         ([np.ones(5), np.ones(5, dtype=bool)], "panel data has non-numeric entries"),
         ([np.ones(5), np.ones(3)], "panel data has non-numeric entries"),
         ([np.ones(5), np.array(["1", "2", "3", "4", "5"])], "panel data has non-numeric entries"),
