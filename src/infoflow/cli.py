@@ -116,8 +116,13 @@ def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
     """Write a panel as CSV with a time-index column and label header.
 
     Values are written as ``repr`` of the float, the shortest text that
-    reads back to the same double.
+    reads back to the same double.  ``read_csv_panel`` strips header cells,
+    so a label with surrounding whitespace raises a ValueError before
+    anything is written.
     """
+    for label in panel.labels:
+        if label.strip() != label:
+            raise ValueError(f"label {label!r} would read back as {label.strip()!r}")
     csv.writer(fh, lineterminator="\n").writerow(["t"] + list(panel.labels))
     for n, row in enumerate(panel.data.T):
         fh.write(f"{n},{','.join(map(repr, row.tolist()))}\n")
@@ -181,17 +186,33 @@ def _summary(matrix, panel: TimeSeriesPanel) -> str:
 
 @contextlib.contextmanager
 def _output(path: str | None):
-    """The text file at an --out path, or stdout when the path is unset or "-".
+    """The UTF-8 text file at an --out path, or stdout when the path is unset or "-".
 
-    An OSError while opening or writing the file is raised again with the
-    path as its ``filename``.
+    An absent or regular file is written whole or not at all: the text goes
+    to a sibling ``<realpath>.<pid>.tmp``, which replaces the file once the
+    body is done and is removed on any exception.  A replaced file gets a
+    new inode and umask permissions.  Any other existing target (a FIFO, a
+    device) is written in place.  An OSError while opening, writing or
+    replacing the file is raised again with the path as its ``filename``.
     """
     if not path or path == "-":
         yield sys.stdout
         return
     try:
-        with open(path, "w") as fh:
-            yield fh
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "w", encoding="utf-8") as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        with open(tmp, "x", encoding="utf-8") as fh:
+            try:
+                yield fh
+                fh.close()  # a failed flush shows here, before the old file goes
+                os.replace(tmp, target)
+            except BaseException:
+                os.remove(tmp)
+                raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
 

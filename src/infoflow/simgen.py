@@ -170,47 +170,41 @@ def simulate_rossler(spec: RosslerSpec) -> TimeSeriesPanel:
     step dt; initial state uniform in [0, 1]^9 from the seed; the first
     burn_in steps are discarded.
 
-    The step runs on Python floats in a fixed operation order: k2 is
-    evaluated at s + dt*k1 and the update is s + (0.5*dt)*(k1 + k2), so
-    the trajectory is IEEE-identical to the same scheme on float64
-    arrays.
+    The vector field is written once, as ``field``, with omega, -omega and
+    epsilon bound as its default arguments for speed.  Each step runs on
+    Python floats in a fixed operation order, k1 = field(s),
+    k2 = field(s + dt*k1), s + (0.5*dt)*(k1 + k2), so the trajectory is
+    IEEE-identical to the same scheme on float64 arrays.
     """
     rng = np.random.default_rng(spec.seed)
     x1, x2, x3, y1, y2, y3, z1, z2, z3 = rng.uniform(0.0, 1.0, 9).tolist()
     w1, w2, w3 = spec.omega
-    eps = float(spec.epsilon)
     dt = float(spec.dt)
     half_dt = 0.5 * dt
+
+    # Defaults are fast locals; read from the enclosing scope, the loop ran 2-10% slower.
+    def field(x1, x2, x3, y1, y2, y3, z1, z2, z3, w1=w1, w2=w2, w3=w3,
+              m1=-w1, m2=-w2, m3=-w3, eps=float(spec.epsilon)):
+        return (m1 * x2 - x3, w1 * x1 + 0.15 * x2, 0.2 + x3 * (x1 - 10.0),
+                m2 * y2 - y3 + eps * (x1 - y1), w2 * y1 + 0.15 * y2, 0.2 + y3 * (y1 - 10.0),
+                m3 * z2 - z3 + eps * (x1 - z1), w3 * z1 + 0.15 * z2, 0.2 + z3 * (z1 - 10.0))
+
     out = array("d")
     for _ in range(spec.N_total):
-        a1 = -w1 * x2 - x3
-        a2 = w1 * x1 + 0.15 * x2
-        a3 = 0.2 + x3 * (x1 - 10.0)
-        a4 = -w2 * y2 - y3 + eps * (x1 - y1)
-        a5 = w2 * y1 + 0.15 * y2
-        a6 = 0.2 + y3 * (y1 - 10.0)
-        a7 = -w3 * z2 - z3 + eps * (x1 - z1)
-        a8 = w3 * z1 + 0.15 * z2
-        a9 = 0.2 + z3 * (z1 - 10.0)
-        p1 = x1 + dt * a1
-        p2 = x2 + dt * a2
-        p3 = x3 + dt * a3
-        p4 = y1 + dt * a4
-        p5 = y2 + dt * a5
-        p6 = y3 + dt * a6
-        p7 = z1 + dt * a7
-        p8 = z2 + dt * a8
-        p9 = z3 + dt * a9
-        x1 = x1 + half_dt * (a1 + (-w1 * p2 - p3))
-        x2 = x2 + half_dt * (a2 + (w1 * p1 + 0.15 * p2))
-        x3 = x3 + half_dt * (a3 + (0.2 + p3 * (p1 - 10.0)))
-        y1 = y1 + half_dt * (a4 + (-w2 * p5 - p6 + eps * (p1 - p4)))
-        y2 = y2 + half_dt * (a5 + (w2 * p4 + 0.15 * p5))
-        y3 = y3 + half_dt * (a6 + (0.2 + p6 * (p4 - 10.0)))
-        z1 = z1 + half_dt * (a7 + (-w3 * p8 - p9 + eps * (p1 - p7)))
-        z2 = z2 + half_dt * (a8 + (w3 * p7 + 0.15 * p8))
-        z3 = z3 + half_dt * (a9 + (0.2 + p9 * (p7 - 10.0)))
-        out.extend((x1, x2, x3, y1, y2, y3, z1, z2, z3))
+        a1, a2, a3, a4, a5, a6, a7, a8, a9 = field(x1, x2, x3, y1, y2, y3, z1, z2, z3)
+        b1, b2, b3, b4, b5, b6, b7, b8, b9 = field(
+            x1 + dt * a1, x2 + dt * a2, x3 + dt * a3, y1 + dt * a4, y2 + dt * a5,
+            y3 + dt * a6, z1 + dt * a7, z2 + dt * a8, z3 + dt * a9)
+        x1 = x1 + half_dt * (a1 + b1)
+        x2 = x2 + half_dt * (a2 + b2)
+        x3 = x3 + half_dt * (a3 + b3)
+        y1 = y1 + half_dt * (a4 + b4)
+        y2 = y2 + half_dt * (a5 + b5)
+        y3 = y3 + half_dt * (a6 + b6)
+        z1 = z1 + half_dt * (a7 + b7)
+        z2 = z2 + half_dt * (a8 + b8)
+        z3 = z3 + half_dt * (a9 + b9)
+        out.fromlist([x1, x2, x3, y1, y2, y3, z1, z2, z3])  # extend() of a tuple is ~2x slower
     data = np.frombuffer(out, dtype=np.float64).reshape(spec.N_total, 9)
     # Float arithmetic overflows to inf and NaN without raising, so a
     # diverged run completes; a NaN row fails the test as well.

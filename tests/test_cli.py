@@ -11,6 +11,11 @@ import sys
 import threading
 import tracemalloc
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -139,6 +144,14 @@ class TestCsvRoundTrip:
         back = read_csv_panel(str(path), dt=0.5)
         assert back.labels == panel.labels
         np.testing.assert_array_equal(back.data, panel.data)
+        # the reader strips header cells: (" a", "a") would read back as a
+        # duplicate, ("x ", "y") as ("x", "y"); neither is written at all
+        for labels, bad in [((" a", "a", "c"), "' a' would read back as 'a'"),
+                            (("x ", "y", "z"), "'x ' would read back as 'x'")]:
+            sink = io.StringIO()
+            with pytest.raises(ValueError, match=f"^label {re.escape(bad)}$"):
+                write_csv_panel(TimeSeriesPanel(data=panel.data, labels=labels), sink)
+            assert sink.getvalue() == ""
 
     def test_missing_file(self, tmp_path, capsys):
         path = tmp_path / "nope.csv"
@@ -443,6 +456,36 @@ class TestOutputPath:
         code, _, err = run(capsys, *argv, "--out", str(out))
         assert code == 2
         assert err == f"error: {out}: No such file or directory\n"
+
+    @pytest.mark.skipif(resource is None, reason="no resource module")
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # a 64 KiB file-size limit stops the 9 x 40000 Rossler CSV part-way (EFBIG)
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"t,X1\n0,1.0\n1,2.0\n2,4.0\n3,8.0\n4,16.0\n")
+        old = out.read_bytes()
+        limit = 64 * 1024
+        proc = subprocess.run(
+            [sys.executable, "-m", "infoflow.cli", "generate", "rossler", "--out", str(out)],
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)),
+            capture_output=True, env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {out}: File too large\n".encode())
+        assert out.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [out]  # no temporary file is left
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "var6-b100-short"],
+        ["analyze", "--preset", "var6-b100-short"],
+        ["sweep", "--eps-from", "0.1", "--eps-to", "0.1", "--steps", "1"],
+    ], ids=["generate", "analyze", "sweep"])
+    def test_out_is_utf8_whatever_the_locale(self, tmp_path, argv):
+        # an open() that takes the locale's encoding warns, and the warning is an error
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "infoflow.cli", *argv, "--out", str(out)],
+            capture_output=True, env=src_env(), timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert out.stat().st_size > 0
 
 
 class TestAnalyze:
