@@ -116,13 +116,16 @@ def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
     """Write a panel as CSV with a time-index column and label header.
 
     Values are written as ``repr`` of the float, the shortest text that
-    reads back to the same double.  ``read_csv_panel`` strips header cells,
-    so a label with surrounding whitespace raises a ValueError before
-    anything is written.
+    reads back to the same double.  ``read_csv_panel`` strips header cells
+    and ends a line at a carriage return, which the csv module may leave
+    unquoted; so a label with surrounding whitespace, or holding a ``\\r``,
+    raises a ValueError before anything is written.
     """
     for label in panel.labels:
         if label.strip() != label:
             raise ValueError(f"label {label!r} would read back as {label.strip()!r}")
+        if "\r" in label:
+            raise ValueError(f"label {label!r} holds a carriage return")
     csv.writer(fh, lineterminator="\n").writerow(["t"] + list(panel.labels))
     for n, row in enumerate(panel.data.T):
         fh.write(f"{n},{','.join(map(repr, row.tolist()))}\n")
