@@ -23,8 +23,13 @@ import contextlib
 import csv
 import math
 import os
+import signal
+import stat
 import sys
+import tempfile
+import warnings
 from array import array
+from functools import partial
 
 import numpy as np
 
@@ -46,10 +51,12 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
     subclass, such as FileNotFoundError) whose ``filename`` is the path, and
     one that fails a check a ValueError whose text starts with the path.
 
-    The file is opened once and read in one pass, so the path may name a
-    pipe.  Lines are split as latin-1 and each non-ASCII line is decoded
-    as UTF-8; each record is then checked and cast in file order, so the
-    first defect in the file is the one reported.
+    A pipe is opened once and read in one pass, so the path may name one.
+    Where os.fork exists, a forked child opens a regular file again and
+    reads its second half (see ``_read_records``).  Lines are split as
+    latin-1 and each non-ASCII line is decoded as UTF-8; each record is
+    then checked and cast, and the first defect in the file is the one
+    reported.
     """
     check_dt(dt)
     try:
@@ -62,13 +69,13 @@ def read_csv_panel(path: str, dt: float = 1.0) -> TimeSeriesPanel:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _utf8_lines(fh):
-    """The lines of a latin-1 text file, each decoded as UTF-8.
+def _utf8_lines(fh, start=0, stop=None):
+    """The lines of a latin-1 text file from file offset start, each decoded as UTF-8.
 
     Latin-1 reads one character per byte, and no UTF-8 sequence holds a
     CR or LF byte: the lines and their offsets are those of the bytes.
+    The lines end at file offset stop, a line start, or else at the end.
     """
-    start = 0  # file offset of the line
     for line in fh:
         size = len(line)
         if not line.isascii():
@@ -78,25 +85,97 @@ def _utf8_lines(fh):
                 raise ValueError(f"not UTF-8 text (byte {start + exc.start})") from None
         yield line
         start += size
+        if start == stop:
+            return
 
 
 def _read_records(fh):
-    """(labels, data) of a UTF-8 CSV panel; its first defect is a ValueError without the path."""
-    reader = csv.reader(_utf8_lines(fh))
-    lineno = 0  # the last record read: a csv.Error is in the next one
+    """(labels, data) of a UTF-8 CSV panel; its first defect is a ValueError without the path.
+
+    On a regular file, a forked child reads the records from the middle on
+    (see ``_second_half``) while this process reads those before them.
+    When the child fails for any reason, this process reads its records
+    itself, so the first defect in the file is still the one raised.
+    """
+    split = _second_half(fh)
+    reader = csv.reader(_utf8_lines(fh, stop=split))
     try:
         header = next(reader, None)
-        if header is None:
-            raise ValueError("empty file")
-        lineno = 1
-        if len(header) < 2:
-            raise ValueError("need a time column plus at least 1 variable column")
+    except csv.Error as exc:
+        raise ValueError(f"row 1: {exc}") from None
+    if header is None:
+        raise ValueError("empty file")
+    if len(header) < 2:
+        raise ValueError("need a time column plus at least 1 variable column")
+    values = array("d")
+    if split is None:
+        _read_values(reader, len(header), 1, values)
+    else:
+        with _forked(partial(_read_tail, fh, split, len(header)), "w+b") as tail:
+            lineno = _read_values(reader, len(header), 1, values)
+            tmp = tail()
+            if tmp is None:
+                _read_values(csv.reader(_utf8_lines(fh, split)), len(header), lineno, values)
+            else:
+                for chunk in iter(partial(tmp.read, 1 << 16), b""):
+                    values.frombytes(chunk)
+    labels = tuple(name.strip() for name in header[1:])
+    return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, len(labels)).T
+
+
+def _second_half(fh):
+    """The offset just after the first ``\\n`` at or past half of the file, or None.
+
+    Read with ``newline=""``, a line starts there, and so does a record if
+    no ``"`` comes before it: only a quoted cell may hold a line break.  None
+    when fh is not a regular file, os.fork is missing, no line starts
+    there, or a quote comes first: then one process reads the whole file.
+    """
+    fd = fh.fileno()
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode) or not hasattr(os, "fork"):
+        return None
+    half, pos = info.st_size // 2, 0
+    while chunk := os.pread(fd, 1 << 16, pos):
+        lf = chunk.find(b"\n", max(half - pos, 0))
+        if lf >= 0:
+            chunk = chunk[:lf + 1]
+        if b'"' in chunk:
+            return None
+        pos += len(chunk)
+        if lf >= 0:
+            return pos if pos < info.st_size else None
+    return None
+
+
+def _read_tail(fh, split, width, out):
+    """Write the values of fh's records from offset split on to out, as doubles.
+
+    This is the forked child's half: it opens fh's file again for an offset
+    of its own, and fails unless that is still the same file.  Its row
+    numbers are not the file's, but its errors are never shown.
+    """
+    with open(fh.name, newline="", encoding="latin-1") as own:
+        if not os.path.samestat(os.fstat(own.fileno()), os.fstat(fh.fileno())):
+            raise OSError(f"{fh.name} is not the file being read")
+        own.seek(split)
         values = array("d")
-        for lineno, cells in enumerate(reader, start=2):
+        _read_values(csv.reader(_utf8_lines(own, split)), width, 1, values)
+    values.tofile(out)
+
+
+def _read_values(reader, width, lineno, values):
+    """Append the cells after the time column of reader's records to values.
+
+    The records are rows lineno + 1 on, each of width cells; the number of
+    the last one is returned.  The first defect is a ValueError.
+    """
+    try:
+        for lineno, cells in enumerate(reader, start=lineno + 1):
             if not cells:
                 continue
-            if len(cells) != len(header):
-                raise ValueError(f"row {lineno} has {len(cells)} cells, expected {len(header)}")
+            if len(cells) != width:
+                raise ValueError(f"row {lineno} has {len(cells)} cells, expected {width}")
             for col, cell in enumerate(cells[1:], start=2):
                 try:
                     value = float(cell)
@@ -108,8 +187,7 @@ def _read_records(fh):
                 values.append(value)
     except csv.Error as exc:
         raise ValueError(f"row {lineno + 1}: {exc}") from None
-    labels = tuple(name.strip() for name in header[1:])
-    return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, len(labels)).T
+    return lineno
 
 
 def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
@@ -119,7 +197,9 @@ def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
     reads back to the same double.  ``read_csv_panel`` strips header cells
     and ends a line at a carriage return, which the csv module may leave
     unquoted; so a label with surrounding whitespace, or holding a ``\\r``,
-    raises a ValueError before anything is written.
+    raises a ValueError before anything is written.  A forked child writes
+    the second half of the rows to a temporary file, which is appended
+    after this process has written the first half.
     """
     for label in panel.labels:
         if label.strip() != label:
@@ -127,8 +207,82 @@ def write_csv_panel(panel: TimeSeriesPanel, fh) -> None:
         if "\r" in label:
             raise ValueError(f"label {label!r} holds a carriage return")
     csv.writer(fh, lineterminator="\n").writerow(["t"] + list(panel.labels))
-    for n, row in enumerate(panel.data.T):
-        fh.write(f"{n},{','.join(map(repr, row.tolist()))}\n")
+    rows = panel.data.T
+    half = len(rows) // 2
+    with _forked(partial(_write_rows, rows, half, len(rows)), "w+") as tail:
+        _write_rows(rows, 0, half, fh)
+        tmp = tail()
+        if tmp is None:
+            _write_rows(rows, half, len(rows), fh)
+        else:
+            for chunk in iter(partial(tmp.read, 1 << 16), ""):
+                fh.write(chunk)
+
+
+def _write_rows(rows, start, stop, fh):
+    """Write records start to stop - 1, holding one record's text at a time."""
+    for n in range(start, stop):
+        fh.write(f"{n},{','.join(map(repr, rows[n].tolist()))}\n")
+
+
+@contextlib.contextmanager
+def _forked(work, mode):
+    """Run ``work(tmp)`` in a forked child; yield a function that waits for it.
+
+    tmp is an anonymous temporary file opened with ``mode`` (text as UTF-8).
+    The function returns tmp, rewound, when the child exited 0, and else
+    None: the caller then does the work itself, so a child that fails, is
+    killed, or cannot be started (no os.fork, no temporary file) costs
+    time but never changes a result.  The child leaves only through
+    ``os._exit``: it runs no ``finally`` or exit handler of the caller
+    and flushes no inherited buffer.  On leaving the block, a child still
+    running is killed, the child is reaped and tmp is closed.
+    """
+    pid = tmp = None
+    try:
+        try:
+            if hasattr(os, "fork"):
+                tmp = tempfile.TemporaryFile(mode, encoding=None if "b" in mode else "utf-8")
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns when a process with threads forks.
+                    # Here the other threads are numpy's BLAS pool, and the
+                    # fork is safe: the child runs only repr, float and csv
+                    # over the panel and its own files, never BLAS.
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded, "
+                                            r"use of fork\(\) may lead to deadlocks",
+                                            DeprecationWarning)
+                    pid = os.fork()
+        except OSError:
+            pass
+        if pid == 0:
+            status = 1
+            try:
+                work(tmp)
+                tmp.flush()
+                status = 0
+            finally:
+                os._exit(status)
+
+        def wait():
+            nonlocal pid
+            if pid is None:
+                return None
+            _, status = os.waitpid(pid, 0)
+            pid = None
+            if os.waitstatus_to_exitcode(status) != 0:
+                return None
+            tmp.seek(0)
+            return tmp
+
+        yield wait
+    finally:
+        try:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        finally:
+            if tmp is not None:
+                tmp.close()
 
 
 def _matrix_csv(graph) -> str:

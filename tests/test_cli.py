@@ -6,10 +6,13 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
+import types
 
 try:
     import resource
@@ -481,6 +484,179 @@ class TestCsvWriter:
                 tracemalloc.stop()
             assert sink.chars > 9 * n  # at least a character per value
         assert peaks[1] < 2 * peaks[0]
+
+
+def csv_writer_reference(panel):
+    """The CSV text of a panel as csv.writer writes it, one row at a time."""
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["t"] + list(panel.labels))
+    for n in range(panel.n):
+        writer.writerow([n] + [repr(float(v)) for v in panel.data[:, n]])
+    return want.getvalue()
+
+
+def halves_text(replace=None, eol="\n"):
+    """3000 data rows: data row 500 lies in the first half of the file, 2500 in the second."""
+    return csv_text(block_rows(3000, replace), eol=eol).encode()
+
+
+def crlf_astride_middle(middle):
+    """halves_text with CRLF line ends, padded until the middle byte is ``middle``."""
+    for pad in range(64):
+        text = halves_text({0: "0" * pad + "0,0.5,0"}, eol="\r\n")
+        if text[len(text) // 2:][:1] == middle:
+            return text
+    raise AssertionError("no padding puts the middle byte on a CRLF")
+
+
+# Inputs the reader splits between two processes, or must not split: (id,
+# file bytes, whether a second process reads its second half).  A bad byte
+# in the second half, or in each half, is TestCsvReaderPaths' non-UTF-8
+# tests at 3000 rows.
+SPLIT_CASES = [
+    ("no-defect", halves_text(), True),
+    ("bad-cell-in-second-half", halves_text({2500: "2500,oops,1"}), True),
+    ("ragged-row-in-second-half", halves_text({2500: "2500,1.0"}), True),
+    ("minus-inf-in-second-half", halves_text({2500: "2500,-inf,1"}), True),
+    ("defect-in-each-half", halves_text({500: "500,oops,1", 2500: "2500,1.0"}), True),
+    ("quotes-in-second-half-only",
+     halves_text({2500: '2500,"1.5","2"', 2600: '2600,"1\n",2'}), True),
+    ("quoted-line-break-then-bad-cell",
+     halves_text({2500: '2500,"1\n",2', 2600: "2600,oops,1"}), True),
+    ("quote-in-first-half", halves_text({500: '500,"1.5",2'}), False),
+    ("quoted-line-break-in-first-half-then-bad-cell",
+     halves_text({500: '500,"1\n",2', 2600: "2600,oops,1"}), False),
+    ("lone-cr", halves_text(eol="\r"), False),
+    ("crlf-lf-at-middle", crlf_astride_middle(b"\n"), True),
+    ("crlf-cr-at-middle", crlf_astride_middle(b"\r"), True),
+]
+
+
+def record_temporary_files(monkeypatch):
+    """The list of the temporary files that the CSV reader and writer make from now on."""
+    made = []
+
+    def temporary_file(*args, **kwargs):
+        made.append(tempfile.TemporaryFile(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "tempfile", types.SimpleNamespace(TemporaryFile=temporary_file))
+    return made
+
+
+def assert_no_child_and_no_open_file(made):
+    assert made and all(tmp.closed for tmp in made)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+
+    return raise_it
+
+
+def break_child(monkeypatch, how):
+    """Make the forked child of the CSV reader and writer fail, or never start."""
+    if how == "no-temporary-file":
+        no_space = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(cli, "tempfile", types.SimpleNamespace(TemporaryFile=fail(no_space)))
+    elif how == "fork-fails":
+        monkeypatch.setattr(os, "fork", fail(OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))))
+    elif how == "no-os-fork":
+        monkeypatch.delattr(os, "fork")
+    else:  # the child's half stops it: exit status 1, or SIGKILL
+        parent = os.getpid()
+        for name in ("_write_rows", "_read_tail"):
+            def fail_in_child(*args, work=getattr(cli, name)):
+                if os.getpid() != parent:
+                    if how == "exits-1":
+                        os._exit(1)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return work(*args)
+
+            monkeypatch.setattr(cli, name, fail_in_child)
+
+
+CHILD_FAILURES = ["exits-1", "killed", "no-temporary-file", "fork-fails", "no-os-fork"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestCsvHalves:
+    """A forked child reads or writes the second half of a CSV panel."""
+
+    @pytest.mark.parametrize("content,splits", [c[1:] for c in SPLIT_CASES],
+                             ids=[c[0] for c in SPLIT_CASES])
+    def test_same_result_as_row_reader(self, tmp_path, content, splits):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content)
+        with open(path, newline="", encoding="latin-1") as fh:
+            assert (cli._second_half(fh) is not None) == splits
+        assert read_outcome(read_panel, str(path)) == read_outcome(reference_panel, str(path))
+
+    @pytest.mark.parametrize("n", [2000, 2001], ids=["even", "odd"])
+    def test_bytes_match_csv_writer_reference(self, n):
+        panel = TimeSeriesPanel(data=np.random.default_rng(n).standard_normal((3, n)))
+        got = io.StringIO()
+        write_csv_panel(panel, got)
+        assert got.getvalue() == csv_writer_reference(panel)
+
+    @pytest.mark.parametrize("how", CHILD_FAILURES)
+    def test_failed_child_changes_no_output(self, tmp_path, monkeypatch, how):
+        panel = TimeSeriesPanel(data=np.random.default_rng(5).standard_normal((3, 2001)))
+        reads = {}
+        for name, content, _ in SPLIT_CASES[:3]:
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(content)
+            reads[path] = read_outcome(read_panel, str(path))
+        break_child(monkeypatch, how)
+        got = io.StringIO()
+        write_csv_panel(panel, got)
+        assert got.getvalue() == csv_writer_reference(panel)
+        for path, want in reads.items():
+            assert read_outcome(read_panel, str(path)) == want
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("exc", [OSError(errno.EIO, os.strerror(errno.EIO)),
+                                     KeyboardInterrupt()], ids=["OSError", "interrupt"])
+    def test_failed_write_leaves_no_child_and_no_open_file(self, monkeypatch, exc):
+        class FailingSink:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+                if self.chars > 10_000:
+                    raise exc
+
+        panel = TimeSeriesPanel(data=np.random.default_rng(6).standard_normal((3, 4000)))
+        made = record_temporary_files(monkeypatch)
+        with pytest.raises(type(exc)):
+            write_csv_panel(panel, FailingSink())
+        assert_no_child_and_no_open_file(made)
+
+    def test_defect_in_first_half_leaves_no_child_and_no_open_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        path.write_bytes(halves_text({500: "500,oops,1"}))
+        made = record_temporary_files(monkeypatch)
+        with pytest.raises(ValueError, match=r": row 502, column 2: non-numeric cell 'oops'$"):
+            read_csv_panel(str(path))
+        assert_no_child_and_no_open_file(made)
+
+    def test_forking_cli_leaves_stderr_empty(self, tmp_path):
+        # Python >= 3.12 warns when a process with threads (numpy's BLAS pool)
+        # forks; under -W error any warning, an unclosed file's too, fails the run
+        panel, graph = tmp_path / "rossler.csv", tmp_path / "graph.json"
+        for argv in (["generate", "rossler", "--out", str(panel)],
+                     ["analyze", "--csv", str(panel), "--dt", "0.001", "--k", "2",
+                      "--out", str(graph)]):
+            proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error",
+                                   "-m", "infoflow.cli", *argv],
+                                  capture_output=True, env=src_env(), timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+        assert json.loads(graph.read_text())["meta"]["schema_version"] == 2
 
 
 class TestOutputPath:
