@@ -22,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import math
+import mmap
 import os
 import signal
 import stat
@@ -30,6 +31,7 @@ import tempfile
 import warnings
 from array import array
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -116,9 +118,11 @@ def _read_records(fh):
             tmp = tail()
             if tmp is None:
                 _read_values(csv.reader(_utf8_lines(fh, split)), len(header), lineno, values)
-            else:
-                for chunk in iter(partial(tmp.read, 1 << 16), b""):
-                    values.frombytes(chunk)
+            elif os.fstat(tmp.fileno()).st_size:  # mmap refuses an empty file
+                # one copy from the page cache: no chunk lands on the heap
+                # between values and the space it grows into
+                with mmap.mmap(tmp.fileno(), 0, access=mmap.ACCESS_READ) as doubles:
+                    values.frombytes(doubles)
     labels = tuple(name.strip() for name in header[1:])
     return labels, np.frombuffer(values, dtype=np.float64).reshape(-1, len(labels)).T
 
@@ -152,16 +156,20 @@ def _read_tail(fh, split, width, out):
     """Write the values of fh's records from offset split on to out, as doubles.
 
     This is the forked child's half: it opens fh's file again for an offset
-    of its own, and fails unless that is still the same file.  Its row
-    numbers are not the file's, but its errors are never shown.
+    of its own, and fails unless that is still the same file.  It writes
+    every 1024 records, so that it adds little to the memory it shares
+    with its parent.  Its row numbers are not the file's, but its errors
+    are never shown.
     """
     with open(fh.name, newline="", encoding="latin-1") as own:
         if not os.path.samestat(os.fstat(own.fileno()), os.fstat(fh.fileno())):
             raise OSError(f"{fh.name} is not the file being read")
         own.seek(split)
+        reader = csv.reader(_utf8_lines(own, split))
         values = array("d")
-        _read_values(csv.reader(_utf8_lines(own, split)), width, 1, values)
-    values.tofile(out)
+        while _read_values(islice(reader, 1024), width, 0, values):
+            values.tofile(out)
+            del values[:]
 
 
 def _read_values(reader, width, lineno, values):

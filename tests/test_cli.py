@@ -528,6 +528,7 @@ SPLIT_CASES = [
     ("quoted-line-break-in-first-half-then-bad-cell",
      halves_text({500: '500,"1\n",2', 2600: "2600,oops,1"}), False),
     ("lone-cr", halves_text(eol="\r"), False),
+    ("blank-second-half", csv_text(ROWS + [""] * 3000).encode(), True),
     ("crlf-lf-at-middle", crlf_astride_middle(b"\n"), True),
     ("crlf-cr-at-middle", crlf_astride_middle(b"\r"), True),
 ]
